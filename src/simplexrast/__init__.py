@@ -23,26 +23,16 @@ from .gradients import (
     MeshGradient,
     backward_auxnode,
     backward_mesh,
-    dF_drho,
-    dF_dx,
-    dF_dx_product,
-    dgamma_dx,
-    dS_dx,
     numeric_backward,
-    spectral_loss,
 )
 from .meshcore import (
     DEGENERACY_EPS,
     DegenerateElementError,
-    ElementGeometry,
     MeshValidationError,
     SimplexMesh,
-    adjugate,
-    cayley_menger_matrix,
     content,
     distortion_factor,
     element_contents,
-    element_geometry,
     load_mesh,
     save_mesh,
     signed_distortion,
@@ -54,10 +44,7 @@ from .nuft import (
     boundary_closure_defect,
     eval_S,
     forward_auxnode,
-    forward_element,
     forward_mesh,
-    imaginary_power,
-    sigma,
 )
 from .optimizer import (
     FitDivergedError,
@@ -102,7 +89,6 @@ from .spectral import (
     build_grid,
     gaussian_filter,
     inverse_transform,
-    inverse_transform_direct,
     load_raster,
     save_pgm,
     save_raster,

@@ -1,8 +1,9 @@
 """Command-line surface: rasterize, gradcheck, bench, fit, subdivide.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 tolerance
-failure.  All paths are relative to the working directory.  DDSL_WORKERS
-caps library parallelism; every command is deterministic given --seed.
+failure, 4 fit diverged (non-finite loss).  All paths are relative to the
+working directory.  DDSL_WORKERS caps library parallelism; every command
+is deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .deform import PoseQuat, make_rig
 from .gradients import backward_mesh, numeric_backward
 from .meshcore import MeshValidationError, load_mesh, save_mesh
 from .nuft import resolve_workers
-from .optimizer import FitProblem, Schedule, fit
+from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
     RasterizeConfig,
     finite_difference_gradient,
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
+EXIT_DIVERGED = 4
 
 BENCH_CSV_HEADER = ["j", "d", "n_points", "resolution", "repetitions",
                     "analytic_ms_mean", "analytic_ms_std",
@@ -307,6 +309,9 @@ def main(argv=None) -> int:
     except MeshValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except FitDivergedError as exc:
+        print(f"fit diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

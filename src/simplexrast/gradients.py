@@ -2,9 +2,10 @@
 
 Per element and mode, the coefficient derivative with respect to a vertex
 splits into a kernel part (derivative of the phase divided difference,
-scaled by the distortion and pointing along the wavevector) and a
-distortion part (a row of the Cayley-Menger adjugate against the doubled
-coordinate differences, scaled by the kernel).  The kernel derivative with
+scaled by the element weight and pointing along the wavevector) and a
+weight part (a row of the Cayley-Menger adjugate against the doubled
+coordinate differences, or for an auxiliary simplex a row of the adjugate
+of its offset matrix, scaled by the kernel).  The kernel derivative with
 respect to one phase equals the divided difference with that node
 repeated, which is how near-confluent phases stay accurate.
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +28,16 @@ from .meshcore import (
     SimplexMesh,
     _batch_adjugate,
     _batch_cayley_menger,
-    _batch_content,
-    adjugate,
-    cayley_menger_matrix,
-    content,
 )
 from .nuft import (
     _I_POW,
+    _checked_elements,
     _divided_diff_series,
+    _eval_kernel,
     _lagrange_terms,
+    _phases,
+    _run_chunks,
+    forward_auxnode,
     forward_mesh,
     resolve_workers,
 )
@@ -63,152 +64,17 @@ class MeshGradient:
 
 
 # ---------------------------------------------------------------------------
-# single-element derivative pieces
-
-def dgamma_dx(points, p: int, strict: bool = False,
-              degeneracy_eps: float = DEGENERACY_EPS) -> np.ndarray:
-    """Gradient of the distortion factor w.r.t. vertex slot ``p``.
-
-    Uses the adjugate of the Cayley-Menger matrix: slot p reads row p+1 of
-    the adjugate against the doubled coordinate differences.  Degenerate
-    elements (distortion ~ 0) return a zero vector by default because the
-    expression divides by the distortion; ``strict`` raises instead.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
-    if gamma <= degeneracy_eps * math.factorial(j):
-        if strict:
-            raise DegenerateElementError([f"element content {gamma / math.factorial(j):.3e}"])
-        return np.zeros(pts.shape[1])
-    adj = adjugate(cayley_menger_matrix(pts))
-    scale = (-1.0) ** (j + 1) / 2.0 ** j / gamma
-    acc = np.zeros(pts.shape[1])
-    for m in range(j + 1):
-        if m == p:
-            continue
-        acc += adj[p + 1, m + 1] * 2.0 * (pts[p] - pts[m])
-    return scale * acc
-
-
-def _ds_coef_single(sig: np.ndarray, p: int) -> complex:
-    """d(kernel)/d(sigma_p): divided difference with node p repeated."""
-    nodes = np.concatenate([sig, sig[p:p + 1]])
-    return complex(_divided_diff_series(nodes[None])[0])
-
-
-def dS_dx(sigmas, p: int, k) -> np.ndarray:
-    """Gradient of the summation kernel w.r.t. vertex slot ``p`` (a complex d-vector).
-
-    Equals the per-phase derivative times the wavevector.  Well-separated
-    phases use the explicit term-pair form; confluent ones route through
-    the repeated-node divided difference.
-    """
-    sig = np.asarray(sigmas, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    n = sig.shape[0]
-    if n == 1:
-        return -1j * np.exp(-1j * sig[0]) * kv
-    lk = _lagrange_terms(sig[None])
-    if lk.unsafe[0] or _ds_risky(float(lk.amp[0]), float(lk.min_gap[0])):
-        coef = _ds_coef_single(sig, p)
-    else:
-        gaps = sig - sig[p]
-        gaps[p] = 1.0
-        inv = 1.0 / gaps
-        inv[p] = 0.0
-        coef = -1j * lk.terms[0, p] + np.sum((lk.terms[0] + lk.terms[0, p]) * inv)
-    return coef * kv
-
-
-def _ds_risky(amp: float, min_gap: float) -> bool:
-    gap = min(max(min_gap, 1e-300), 1e6)
-    return amp * (gap + 2.0) >= _DS_AMP_MAX * gap
-
-
-def dF_dx(points, density, k, p: int, strict: bool = False) -> np.ndarray:
-    """Coefficient gradient w.r.t. vertex slot ``p``: the split form.
-
-    ``rho * i**j * (freq_scale * k + edge_scale * adjugate_pairs)`` with
-    freq_scale = distortion * d(kernel)/d(phase_p),
-    edge_scale = sign / 2^j / distortion * kernel, and adjugate_pairs the
-    slot's adjugate row against the doubled coordinate differences.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
-    if gamma <= DEGENERACY_EPS * math.factorial(j):
-        if strict:
-            raise DegenerateElementError([f"element content {gamma / math.factorial(j):.3e}"])
-        return np.zeros(pts.shape[1], dtype=np.complex128)
-    sig = pts @ kv
-    kernel, coef = _kernel_and_coef(sig, p)
-    freq_scale = gamma * coef
-    edge_scale = (-1.0) ** (j + 1) / 2.0 ** j / gamma * kernel
-    adj = adjugate(cayley_menger_matrix(pts))
-    acc = np.zeros(pts.shape[1])
-    for m in range(j + 1):
-        if m != p:
-            acc += adj[p + 1, m + 1] * 2.0 * (pts[p] - pts[m])
-    ij = complex(_I_POW[j % 4])
-    return density * ij * (freq_scale * kv + edge_scale * acc)
-
-
-def dF_dx_product(points, density, k, p: int) -> np.ndarray:
-    """Coefficient gradient via the product rule, as an independent route:
-    ``rho * i**j * (kernel * dgamma + distortion * dkernel)``."""
-    pts = np.asarray(points, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
-    sig = pts @ kv
-    kernel, _ = _kernel_and_coef(sig, p)
-    ij = complex(_I_POW[j % 4])
-    return density * ij * (kernel * dgamma_dx(pts, p) + gamma * dS_dx(sig, p, kv))
-
-
-def _kernel_and_coef(sig: np.ndarray, p: int) -> tuple[complex, complex]:
-    n = sig.shape[0]
-    if n == 1:
-        val = complex(np.exp(-1j * sig[0]))
-        return val, -1j * val
-    lk = _lagrange_terms(sig[None])
-    if lk.unsafe[0]:
-        kernel = complex(_divided_diff_series(sig[None])[0])
-    else:
-        kernel = complex(lk.s[0])
-    if lk.unsafe[0] or _ds_risky(float(lk.amp[0]), float(lk.min_gap[0])):
-        coef = _ds_coef_single(sig, p)
-    else:
-        gaps = sig - sig[p]
-        gaps[p] = 1.0
-        inv = 1.0 / gaps
-        inv[p] = 0.0
-        coef = complex(-1j * lk.terms[0, p]
-                       + np.sum((lk.terms[0] + lk.terms[0, p]) * inv))
-    return kernel, coef
-
-
-def dF_drho(points, k) -> complex:
-    """Coefficient derivative in the density: the unit-density coefficient."""
-    from .nuft import forward_element
-
-    return forward_element(points, 1.0, k)
-
-
-# ---------------------------------------------------------------------------
 # batched kernel derivatives (shared by the mesh-level backward passes)
 
-def _ds_coefs_batch(sig, lk):
-    """Kernel derivative per node slot for phase rows sig (..., n).
+def _kernel_batch(sig):
+    """Kernel values plus derivative coefficients per node slot, both
+    stability-routed, for phase rows sig (..., n).
 
     The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p),
     assembled for all slots at once from the inverse-gap matrix.
     """
     n = sig.shape[-1]
-    if n == 1:
-        return (-1j * np.exp(-1j * sig[..., 0]))[..., None]
+    lk = _lagrange_terms(sig, with_idiff=True)
     with np.errstate(invalid="ignore", over="ignore"):
         col_sum = lk.idiff.sum(axis=-2)  # sum_t 1/(s_t - s_p) over t != p
         cross = np.einsum("...t,...tp->...p", lk.terms, lk.idiff)
@@ -222,49 +88,34 @@ def _ds_coefs_batch(sig, lk):
         rep = np.broadcast_to(bad[:, None, :], (bad.shape[0], n, n))
         nodes = np.concatenate([rep, bad[:, :, None]], axis=2)
         coefs[risky] = _divided_diff_series(nodes.reshape(-1, n + 1)).reshape(bad.shape[0], n)
-    return coefs
+    return _eval_kernel(sig, lk), coefs
 
 
-def _kernel_batch(sig):
-    """Kernel values plus derivative coefficients, both stability-routed."""
-    lk = _lagrange_terms(sig, with_idiff=True)
-    s = lk.s
-    if lk.unsafe.any():
-        s = np.where(lk.unsafe, 0.0, s)
-        s[lk.unsafe] = _divided_diff_series(sig[lk.unsafe])
-    coefs = _ds_coefs_batch(sig, lk)
-    return s, coefs
+def _weight_gradients(pts, weights, degenerate, auxnode: bool) -> np.ndarray:
+    """Gradient of each element weight per vertex slot, shape (n_e, nodes, d).
+
+    Simplex: row p+1 of the Cayley-Menger adjugate against the doubled
+    coordinate differences, over the weight (degenerate rows are left
+    for the caller to zero).  Auxiliary simplex: row p of the adjugate of
+    the offset matrix, which never divides by the possibly ~zero weight.
+    """
+    if auxnode:
+        return _batch_adjugate(np.swapaxes(pts, 1, 2))[0]
+    j = pts.shape[1] - 1
+    adj, _ = _batch_adjugate(_batch_cayley_menger(pts))
+    dmat = 2.0 * (pts[:, :, None, :] - pts[:, None, :, :])  # zero on the diagonal
+    scale = (-1.0) ** (j + 1) / 2.0 ** j
+    safe = np.where(degenerate, 1.0, weights)
+    return scale / safe[:, None, None] * np.einsum("epm,epmd->epd", adj[:, 1:, 1:], dmat)
 
 
-def _backward_chunk(pts, dens, elements, j, grid, cot, n_vertices,
-                    strict, degeneracy_eps):
+def _backward_chunk(pts, elements, dens, weights, dweights, degenerate,
+                    grid, cot, n_vertices, auxnode: bool, d_densities) -> np.ndarray:
+    """Vertex gradient of one element span; its density rows go to ``d_densities``."""
     wavevectors = grid.wavevectors
-    d = pts.shape[2]
-    sig = np.einsum("end,md->emn", pts, wavevectors)
-    if j == 0:
-        s = np.exp(-1j * sig[..., 0])
-        coefs = (-1j * s)[..., None]
-    else:
-        s, coefs = _kernel_batch(sig)
-
-    gamma = math.factorial(j) * _batch_content(pts)
-    degenerate = gamma <= degeneracy_eps * math.factorial(j)
-    if degenerate.any() and strict:
-        raise DegenerateElementError(
-            [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
-
-    # distortion gradient per slot: sign/2^j / gamma * sum_m A[p+1, m+1] * 2(x_p - x_m)
-    if j == 0:
-        dgamma = np.zeros_like(pts)
-    else:
-        adj, _ = _batch_adjugate(_batch_cayley_menger(pts))
-        a_sub = adj[:, 1:, 1:].copy()
-        idx = np.arange(j + 1)
-        a_sub[:, idx, idx] = 0.0
-        dmat = 2.0 * (pts[:, :, None, :] - pts[:, None, :, :])
-        scale = (-1.0) ** (j + 1) / 2.0 ** j
-        safe_gamma = np.where(degenerate, 1.0, gamma)
-        dgamma = scale / safe_gamma[:, None, None] * np.einsum("epm,epmd->epd", a_sub, dmat)
+    j = pts.shape[1] - 1 + auxnode
+    s, coefs = _kernel_batch(_phases(pts, wavevectors, auxnode))
+    coefs = coefs[..., int(auxnode):]  # the auxiliary origin node is fixed
 
     # fold cotangent, densities, and weights into one per-(element, mode) factor
     w = grid.fold_weights
@@ -272,16 +123,45 @@ def _backward_chunk(pts, dens, elements, j, grid, cot, n_vertices,
     ij = _I_POW[j % 4]
     a_e = np.einsum("em,em->e", ghat, s)
     b_epd = np.einsum("em,emp,md->epd", ghat, coefs, wavevectors)
-    slot_grad = (ij * (a_e[:, None, None] * dgamma + gamma[:, None, None] * b_epd)).real
-    if degenerate.any():
-        slot_grad[degenerate] = 0.0
+    slot_grad = (ij * (a_e[:, None, None] * dweights
+                       + weights[:, None, None] * b_epd)).real
+    slot_grad[degenerate] = 0.0
 
+    d = pts.shape[2]
     d_vertices = np.zeros((n_vertices, d))
     np.add.at(d_vertices, elements.reshape(-1), slot_grad.reshape(-1, d))
+    d_densities[:] = (ij * weights[:, None]
+                      * np.einsum("em,m,mc->ec", s, w, np.conj(cot))).real
+    return d_vertices
 
-    d_densities = (ij * gamma[:, None]
-                   * np.einsum("em,m,mc->ec", s, w, np.conj(cot))).real
-    return MeshGradient(d_vertices, d_densities), int(degenerate.sum())
+
+def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
+              auxnode: bool, strict: bool, degeneracy_eps: float, workers) -> MeshGradient:
+    if not cotangent.grid.matches(grid):
+        raise ValueError("cotangent grid does not match the requested grid")
+    if cotangent.channels != mesh.channels:
+        raise ValueError(
+            f"cotangent has {cotangent.channels} channels, mesh has {mesh.channels}")
+    pts, weights = _checked_elements(mesh, grid, auxnode)
+    # only the simplex weight gradient divides by the weight
+    degenerate = (np.zeros(mesh.n_elements, dtype=bool) if auxnode
+                  else weights <= degeneracy_eps * math.factorial(mesh.degree))
+    if degenerate.any() and strict:
+        raise DegenerateElementError(
+            [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
+    d_densities = np.zeros_like(mesh.densities)
+    dweights = _weight_gradients(pts, weights, degenerate, auxnode)
+    d_vertices = _run_chunks(
+        mesh.n_elements,
+        lambda lo, hi: _backward_chunk(
+            pts[lo:hi], mesh.elements[lo:hi], mesh.densities[lo:hi], weights[lo:hi],
+            dweights[lo:hi], degenerate[lo:hi], grid, cotangent.coeffs, mesh.n_vertices,
+            auxnode, d_densities[lo:hi]),
+        resolve_workers(workers))
+    if degenerate.any():
+        warnings.warn(f"{int(degenerate.sum())} degenerate elements received zero "
+                      "vertex gradient", RuntimeWarning, stacklevel=3)
+    return MeshGradient(d_vertices, d_densities)
 
 
 def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
@@ -294,53 +174,8 @@ def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralFiel
     threshold contribute zero vertex gradient (with a warning) unless
     ``strict`` raises.
     """
-    _check_cotangent(mesh, grid, cotangent)
-    if mesh.n_elements == 0:
-        return MeshGradient(np.zeros_like(mesh.vertices),
-                            np.zeros_like(mesh.densities))
-    workers = resolve_workers(workers)
-    pts = mesh.element_points()
-    grad, n_degenerate = _reduce_chunks(
-        mesh, lambda lo, hi: _backward_chunk(
-            pts[lo:hi], mesh.densities[lo:hi],
-            mesh.elements[lo:hi], mesh.degree, grid, cotangent.coeffs,
-            mesh.n_vertices, strict, degeneracy_eps),
-        workers)
-    if n_degenerate:
-        warnings.warn(f"{n_degenerate} degenerate elements received zero vertex gradient",
-                      RuntimeWarning, stacklevel=2)
-    return grad
+    return _backward(mesh, grid, cotangent, False, strict, degeneracy_eps, workers)
 
-
-def _check_cotangent(mesh, grid, cotangent):
-    if not cotangent.grid.matches(grid):
-        raise ValueError("cotangent grid does not match the requested grid")
-    if mesh.dim != grid.dim:
-        raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
-    if cotangent.channels != mesh.channels:
-        raise ValueError(
-            f"cotangent has {cotangent.channels} channels, mesh has {mesh.channels}")
-
-
-def _reduce_chunks(mesh, chunk_fn, workers):
-    """Per-worker element chunks: vertex gradients add, density rows stack."""
-    n_e = mesh.n_elements
-    workers = min(workers, n_e)
-    if workers <= 1:
-        return chunk_fn(0, n_e)
-    bounds = np.linspace(0, n_e, workers + 1).astype(int)
-    spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        parts = list(pool.map(lambda ab: chunk_fn(*ab), spans))
-    d_vertices = parts[0][0].d_vertices
-    for g, _ in parts[1:]:
-        d_vertices = d_vertices + g.d_vertices
-    d_densities = np.concatenate([g.d_densities for g, _ in parts], axis=0)
-    return MeshGradient(d_vertices, d_densities), sum(c for _, c in parts)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary-node backward
 
 def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
                      cotangent: SpectralField, workers=None) -> MeshGradient:
@@ -351,93 +186,55 @@ def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     adjugate of the offset matrix, so no division by the (possibly ~zero)
     signed content occurs.
     """
-    j = boundary_mesh.dim
-    if boundary_mesh.degree != j - 1:
+    if boundary_mesh.degree != boundary_mesh.dim - 1:
         raise ValueError("auxnode backward needs a boundary of degree dim-1")
-    _check_cotangent(boundary_mesh, grid, cotangent)
-    if boundary_mesh.n_elements == 0:
-        return MeshGradient(np.zeros_like(boundary_mesh.vertices),
-                            np.zeros_like(boundary_mesh.densities))
-    workers = resolve_workers(workers)
-    pts = boundary_mesh.element_points()
-    grad, _ = _reduce_chunks(
-        boundary_mesh,
-        lambda lo, hi: _auxnode_backward_chunk(
-            pts[lo:hi], boundary_mesh.densities[lo:hi],
-            boundary_mesh.elements[lo:hi], j, grid, cotangent.coeffs,
-            boundary_mesh.n_vertices),
-        workers)
-    return grad
-
-
-def _auxnode_backward_chunk(pts, dens, elements, j, grid, cot, n_vertices):
-    wavevectors = grid.wavevectors
-    cols = np.swapaxes(pts, 1, 2)  # element matrix with vertex coordinates as columns
-    signed_gamma = np.linalg.det(cols)  # j!-free signed weight, as in the forward pass
-    adj_cols, _ = _batch_adjugate(cols)
-    dsigned = adj_cols  # row p = d det / d x_p
-
-    sig = np.einsum("end,md->emn", pts, wavevectors)
-    sig = np.concatenate([np.zeros(sig.shape[:-1] + (1,)), sig], axis=-1)
-    s, coefs = _kernel_batch(sig)
-    coefs = coefs[..., 1:]  # origin slot is fixed
-
-    w = grid.fold_weights
-    ghat = np.einsum("ec,m,mc->em", dens, w, np.conj(cot))
-    ij = _I_POW[j % 4]
-    a_e = np.einsum("em,em->e", ghat, s)
-    b_epd = np.einsum("em,emp,md->epd", ghat, coefs, wavevectors)
-    slot_grad = (ij * (a_e[:, None, None] * dsigned
-                       + signed_gamma[:, None, None] * b_epd)).real
-
-    d_vertices = np.zeros((n_vertices, j))
-    np.add.at(d_vertices, elements.reshape(-1), slot_grad.reshape(-1, j))
-    d_densities = (ij * signed_gamma[:, None]
-                   * np.einsum("em,m,mc->ec", s, w, np.conj(cot))).real
-    return MeshGradient(d_vertices, d_densities), 0
+    return _backward(boundary_mesh, grid, cotangent, True, False, DEGENERACY_EPS, workers)
 
 
 # ---------------------------------------------------------------------------
 # finite-difference reference
 
-def spectral_loss(field: SpectralField, cotangent: SpectralField) -> float:
-    """The linear functional whose gradient backward_mesh computes."""
-    return spectral_inner(field, cotangent)
+def _central_differences(mesh: SimplexMesh, forward, grid: SpectralGrid,
+                         cotangent: SpectralField, h: float, local: bool) -> MeshGradient:
+    """Central differences of ``spectral_inner(forward(mesh, grid), cotangent)``.
+
+    Perturbs every vertex coordinate and density by +-h.  ``local``
+    re-transforms per probe only the elements that the perturbed value
+    touches (the others cancel exactly in the difference); otherwise every
+    probe transforms the whole mesh.  Unused vertices get a zero gradient.
+    """
+    if h <= 0:
+        raise ValueError("step must be positive")
+
+    def loss(vertices, densities, rows):
+        rows = rows if local else slice(None)
+        probe = SimplexMesh(mesh.dim, mesh.degree, vertices, mesh.elements[rows], densities[rows])
+        return spectral_inner(forward(probe, grid), cotangent)
+
+    grad = MeshGradient(np.zeros_like(mesh.vertices), np.zeros_like(mesh.densities))
+    probes = []
+    for v in range(mesh.n_vertices):
+        rows = np.nonzero((mesh.elements == v).any(axis=1))[0]
+        if rows.size:
+            probes += [("vertices", (v, ax), rows) for ax in range(mesh.dim)]
+    probes += [("densities", (e, ch), [e])
+               for e in range(mesh.n_elements) for ch in range(mesh.channels)]
+    for name, idx, rows in probes:
+        values = []
+        for step in (h, -h):
+            args = {"vertices": mesh.vertices.copy(), "densities": mesh.densities.copy()}
+            args[name][idx] += step
+            values.append(loss(rows=rows, **args))
+        getattr(grad, "d_" + name)[idx] = (values[0] - values[1]) / (2.0 * h)
+    return grad
 
 
 def numeric_backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
                      h: float = 1e-6, mode: str = "simplex") -> MeshGradient:
     """Central-difference gradient by re-running the forward transform.
 
-    One transform pair per coordinate: Theta((j+1) n_e^2 m) against the
-    analytic pass's Theta((j+1) n_e m).
+    Every probe transforms the whole mesh: Theta((j+1) n_e^2 m) against
+    the analytic pass's Theta((j+1) n_e m).
     """
-    from .nuft import forward_auxnode
-
-    if h <= 0:
-        raise ValueError("step must be positive")
     forward = forward_mesh if mode == "simplex" else forward_auxnode
-
-    def loss(vertices, densities):
-        probe = SimplexMesh(mesh.dim, mesh.degree, vertices, mesh.elements, densities)
-        return spectral_loss(forward(probe, grid), cotangent)
-
-    d_vertices = np.zeros_like(mesh.vertices)
-    for v in range(mesh.n_vertices):
-        for ax in range(mesh.dim):
-            plus = mesh.vertices.copy()
-            plus[v, ax] += h
-            minus = mesh.vertices.copy()
-            minus[v, ax] -= h
-            d_vertices[v, ax] = (loss(plus, mesh.densities)
-                                 - loss(minus, mesh.densities)) / (2.0 * h)
-    d_densities = np.zeros_like(mesh.densities)
-    for e in range(mesh.n_elements):
-        for ch in range(mesh.channels):
-            plus = mesh.densities.copy()
-            plus[e, ch] += h
-            minus = mesh.densities.copy()
-            minus[e, ch] -= h
-            d_densities[e, ch] = (loss(mesh.vertices, plus)
-                                  - loss(mesh.vertices, minus)) / (2.0 * h)
-    return MeshGradient(d_vertices, d_densities)
+    return _central_differences(mesh, forward, grid, cotangent, h, local=False)

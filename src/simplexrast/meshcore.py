@@ -122,13 +122,12 @@ def validate(mesh: SimplexMesh, strict: bool = False,
         outside = np.any((mesh.vertices < 0.0) | (mesh.vertices > 1.0), axis=1)
         if outside.any():
             v.append(f"{int(outside.sum())} vertices outside the unit box (periodic wrap applies)")
-    bad_index = (mesh.elements < 0) | (mesh.elements >= mesh.n_vertices)
-    for e in np.nonzero(bad_index.any(axis=1))[0]:
-        v.append(f"element {e}: vertex index out of range [0, {mesh.n_vertices})")
+    bad_index, messages = _index_violations(mesh)
+    v.extend(messages)
     if mesh.degree >= 1:
         sorted_rows = np.sort(mesh.elements, axis=1)
         repeated = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
-        repeated &= ~bad_index.any(axis=1)
+        repeated &= ~bad_index
         for e in np.nonzero(repeated)[0]:
             v.append(f"element {e}: repeated vertex index")
     if strict and mesh.degree >= 1 and not bad_index.any():
@@ -144,16 +143,11 @@ def require_valid(mesh: SimplexMesh, strict: bool = False) -> None:
         raise MeshValidationError(violations)
 
 
-def cayley_menger_matrix(points) -> np.ndarray:
-    """Bordered squared-distance matrix of a point tuple, shape (j+2, j+2)."""
-    pts = np.asarray(points, dtype=np.float64)
-    m = pts.shape[0]
-    b = np.zeros((m + 1, m + 1))
-    b[0, 1:] = 1.0
-    b[1:, 0] = 1.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    b[1:, 1:] = np.einsum("std,std->st", diff, diff)
-    return b
+def _index_violations(mesh: SimplexMesh) -> tuple[np.ndarray, list[str]]:
+    """Elements with a node index outside [0, n_vertices): mask and messages."""
+    bad = ((mesh.elements < 0) | (mesh.elements >= mesh.n_vertices)).any(axis=1)
+    return bad, [f"element {e}: vertex index out of range [0, {mesh.n_vertices})"
+                 for e in np.nonzero(bad)[0]]
 
 
 def content(points) -> float:
@@ -171,11 +165,7 @@ def content(points) -> float:
         raise ValueError(f"simplex degree {j} exceeds ambient dimension {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite point coordinates")
-    if j == 0:
-        return 1.0
-    det = float(np.linalg.det(cayley_menger_matrix(pts)))
-    val = ((-1.0) ** (j + 1) / (2.0 ** j * math.factorial(j) ** 2)) * det
-    return math.sqrt(max(val, 0.0))
+    return float(_batch_content(pts[None])[0])
 
 
 def distortion_factor(points) -> float:
@@ -198,41 +188,6 @@ def signed_distortion(offsets) -> float:
         raise ValueError("signed distortion needs a square (j, j) offset matrix (d == j)")
     j = m.shape[0]
     return math.factorial(j) * float(np.linalg.det(m))
-
-
-@dataclass
-class ElementGeometry:
-    """Measure data of one element: content, distortion, and the CM matrix."""
-
-    content: float
-    distortion: float
-    cayley_menger: np.ndarray
-    cm_adjugate: np.ndarray
-
-
-def element_geometry(points) -> ElementGeometry:
-    pts = np.asarray(points, dtype=np.float64)
-    c = content(pts)
-    j = pts.shape[0] - 1
-    b = cayley_menger_matrix(pts)
-    return ElementGeometry(
-        content=c,
-        distortion=math.factorial(j) * c,
-        cayley_menger=b,
-        cm_adjugate=adjugate(b),
-    )
-
-
-def adjugate(matrix) -> np.ndarray:
-    """Adjugate via det * inverse, with a cofactor fallback near singularity."""
-    a = np.asarray(matrix, dtype=np.float64)
-    det = float(np.linalg.det(a))
-    if abs(det) > _ADJUGATE_DET_FLOOR:
-        try:
-            return det * np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            pass
-    return _adjugate_cofactor(a)
 
 
 def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
@@ -289,10 +244,6 @@ def element_contents(mesh: SimplexMesh) -> np.ndarray:
     if mesh.n_elements == 0:
         return np.zeros(0)
     return _batch_content(mesh.element_points())
-
-
-def element_distortions(mesh: SimplexMesh) -> np.ndarray:
-    return math.factorial(mesh.degree) * element_contents(mesh)
 
 
 def total_mass(mesh: SimplexMesh) -> np.ndarray:

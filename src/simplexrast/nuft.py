@@ -27,6 +27,7 @@ from .meshcore import (
     MeshValidationError,
     SimplexMesh,
     _batch_content,
+    _index_violations,
     require_valid,
 )
 from .spectral import SpectralField, SpectralGrid
@@ -50,11 +51,6 @@ _NEG_I_POW = np.array([1, -1j, -1, 1j], dtype=np.complex128)  # exact (-i)**n cy
 _FACTORIALS = np.array([math.factorial(n) for n in range(_SERIES_TERMS + 8)], dtype=np.float64)
 
 
-def imaginary_power(j: int) -> complex:
-    """i**j from the exact 4-cycle (never via floating-point pow)."""
-    return complex(_I_POW[j % 4])
-
-
 def resolve_workers(workers=None) -> int:
     """Worker count: explicit argument, else DDSL_WORKERS, else 1."""
     if workers is None:
@@ -63,15 +59,6 @@ def resolve_workers(workers=None) -> int:
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     return workers
-
-
-def sigma(k, x) -> float:
-    """Phase of a point against a wavevector: plain dot product."""
-    kv = np.asarray(k, dtype=np.float64)
-    xv = np.asarray(x, dtype=np.float64)
-    if kv.shape != xv.shape:
-        raise ValueError(f"wavevector shape {kv.shape} != coordinate shape {xv.shape}")
-    return float(kv @ xv)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +153,15 @@ def _lagrange_terms(sig: np.ndarray, with_idiff: bool = False) -> LagrangeKernel
     return LagrangeKernel(s, terms, min_gap, amp, unsafe, idiff)
 
 
-def _eval_kernel(sig: np.ndarray) -> np.ndarray:
-    """Kernel S for phase rows (..., n), routed per-row for stability."""
+def _eval_kernel(sig: np.ndarray, lk: LagrangeKernel | None = None) -> np.ndarray:
+    """Kernel S for phase rows (..., n), routed per-row for stability.
+
+    ``lk`` passes in the rows' Lagrange pieces when they are already built.
+    """
     if sig.shape[-1] == 1:
         return np.exp(-1j * sig[..., 0])
-    lk = _lagrange_terms(sig)
+    if lk is None:
+        lk = _lagrange_terms(sig)
     s = lk.s
     if lk.unsafe.any():
         s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
@@ -191,45 +182,67 @@ def eval_S(sigmas) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# forward transform
+# forward transform: one core for simplices and auxiliary simplices
+#
+# Auxnode rasterization applies the simplex transform to the auxiliary
+# simplices (origin, x_1..x_j) of a boundary: the origin adds a zero phase,
+# and the signed weight det(J) replaces j! * content.
 
-def forward_element(points, density, k) -> complex:
-    """Spectral coefficient of one simplex at wavevector ``k``.
-
-    At k = 0 this is exactly density * content (real), via the confluent
-    kernel path.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    j = pts.shape[0] - 1
-    gamma = math.factorial(j) * float(_batch_content(pts[None])[0])
-    s = eval_S(pts @ kv)
-    return complex(density * imaginary_power(j) * gamma * s)
-
-
-def _forward_chunk(pts, dens, j, wavevectors):
+def _phases(pts, wavevectors, auxnode: bool) -> np.ndarray:
+    """Phase rows k . x_t, shape (n_e, n_modes, nodes)."""
     sig = np.einsum("end,md->emn", pts, wavevectors)
-    s = _eval_kernel(sig)
-    gamma = math.factorial(j) * _batch_content(pts)
-    weighted = _I_POW[j % 4] * gamma[:, None] * s
+    if auxnode:
+        sig = np.concatenate([np.zeros(sig.shape[:-1] + (1,)), sig], axis=-1)
+    return sig
+
+
+def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
+    """Entry checks of the shared core, then the node coordinates per element
+    and each element's kernel weight: j! * content, or det(J) for the
+    auxiliary simplex (its distortion |det(J)| with the orientation sign;
+    a j!-scaled weight would overcount by j!).
+
+    The index range is checked on every call, strict or not: a negative
+    index would wrap silently and a large one escape as an IndexError.
+    """
+    if mesh.dim != grid.dim:
+        raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
+    _, violations = _index_violations(mesh)
+    if violations:
+        raise MeshValidationError(violations)
+    pts = mesh.element_points()
+    if auxnode:
+        return pts, np.linalg.det(np.swapaxes(pts, 1, 2))
+    return pts, math.factorial(mesh.degree) * _batch_content(pts)
+
+
+def _forward_chunk(pts, weights, dens, wavevectors, auxnode: bool):
+    j = pts.shape[1] - 1 + auxnode
+    s = _eval_kernel(_phases(pts, wavevectors, auxnode))
+    weighted = _I_POW[j % 4] * weights[:, None] * s
     return np.einsum("em,ec->mc", weighted, dens)
 
 
-def _run_chunks(pts, dens, kernel, wavevectors, workers):
-    """Split elements into per-worker chunks; reduce partial sums in order."""
-    n_e = pts.shape[0]
-    workers = min(workers, n_e)
+def _run_chunks(n_elements: int, chunk_fn, workers: int):
+    """Call ``chunk_fn(lo, hi)`` on one contiguous element span per worker
+    and add the partial results in span order."""
+    workers = min(workers, n_elements)
     if workers <= 1:
-        return kernel(pts, dens, wavevectors)
-    bounds = np.linspace(0, n_e, workers + 1).astype(int)
-    spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        parts = list(pool.map(
-            lambda ab: kernel(pts[ab[0]:ab[1]], dens[ab[0]:ab[1]], wavevectors), spans))
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part
-    return out
+        return chunk_fn(0, n_elements)
+    bounds = np.linspace(0, n_elements, workers + 1).astype(int)  # no empty span
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(chunk_fn, bounds[:-1], bounds[1:]))
+    return sum(parts[1:], parts[0])
+
+
+def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:
+    pts, weights = _checked_elements(mesh, grid, auxnode)
+    coeffs = _run_chunks(
+        mesh.n_elements,
+        lambda lo, hi: _forward_chunk(pts[lo:hi], weights[lo:hi], mesh.densities[lo:hi],
+                                      grid.wavevectors, auxnode),
+        resolve_workers(workers))
+    return SpectralField(grid, coeffs)
 
 
 def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, strict: bool = False,
@@ -240,18 +253,9 @@ def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, strict: bool = False,
     in every channel.  ``strict`` validates the mesh first and raises
     :class:`MeshValidationError` on any violation.
     """
-    if mesh.dim != grid.dim:
-        raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
     if strict:
         require_valid(mesh, strict=True)
-    if mesh.n_elements == 0:
-        return SpectralField(grid, np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128))
-    workers = resolve_workers(workers)
-    coeffs = _run_chunks(
-        mesh.element_points(), mesh.densities,
-        lambda p, d, w: _forward_chunk(p, d, mesh.degree, w),
-        grid.wavevectors, workers)
-    return SpectralField(grid, coeffs)
+    return _forward(mesh, grid, False, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +282,6 @@ def boundary_closure_defect(mesh: SimplexMesh) -> float:
     return float(np.linalg.norm(measures.sum(axis=0)) / total)
 
 
-def _auxnode_chunk(pts, dens, j, wavevectors):
-    # Auxiliary simplex = (origin, x_1..x_j); the origin contributes phase 0.
-    # Its distortion factor is |det(J)| (content |det|/j! times j!), so the
-    # signed weight is det(J) itself; a j!-scaled weight overcounts by j!.
-    signed_gamma = np.linalg.det(np.swapaxes(pts, 1, 2))
-    sig = np.einsum("end,md->emn", pts, wavevectors)
-    sig = np.concatenate([np.zeros(sig.shape[:-1] + (1,)), sig], axis=-1)
-    s = _eval_kernel(sig)
-    weighted = _I_POW[j % 4] * signed_gamma[:, None] * s
-    return np.einsum("em,ec->mc", weighted, dens)
-
-
 def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
                     strict: bool = False, workers=None) -> SpectralField:
     """Transform of the solid enclosed by a watertight oriented boundary.
@@ -305,8 +297,6 @@ def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     if boundary_mesh.degree != j - 1:
         raise ValueError(
             f"auxnode needs a boundary of degree dim-1, got degree {boundary_mesh.degree} in {j}D")
-    if grid.dim != j:
-        raise ValueError(f"grid dim {grid.dim} != mesh dim {j}")
     if strict:
         require_valid(boundary_mesh)
         defect = boundary_closure_defect(boundary_mesh)
@@ -314,12 +304,4 @@ def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
             raise MeshValidationError(
                 [f"boundary not watertight or inconsistently oriented "
                  f"(closure defect {defect:.3e})"])
-    if boundary_mesh.n_elements == 0:
-        return SpectralField(grid, np.zeros((grid.n_modes, boundary_mesh.channels),
-                                            dtype=np.complex128))
-    workers = resolve_workers(workers)
-    coeffs = _run_chunks(
-        boundary_mesh.element_points(), boundary_mesh.densities,
-        lambda p, d, w: _auxnode_chunk(p, d, j, w),
-        grid.wavevectors, workers)
-    return SpectralField(grid, coeffs)
+    return _forward(boundary_mesh, grid, True, workers)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gradients import MeshGradient, backward_auxnode, backward_mesh
+from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
 from .meshcore import SimplexMesh
 from .nuft import forward_auxnode, forward_mesh
 from .spectral import (
@@ -85,40 +85,11 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     elements that contain the perturbed vertex: the others cancel exactly
     in the central difference.
     """
-    from .gradients import spectral_loss
-
     grid = build_grid(mesh.dim, config.resolution)
     cot = adjoint_transform(np.asarray(raster_cotangent, float), grid)
     cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
-
-    def sub_loss(vertices, element_rows, densities):
-        probe = SimplexMesh(mesh.dim, mesh.degree, vertices,
-                            mesh.elements[element_rows], densities[element_rows])
-        return spectral_loss(forward(probe, grid), cot)
-
-    d_vertices = np.zeros_like(mesh.vertices)
-    for v in range(mesh.n_vertices):
-        rows = np.nonzero((mesh.elements == v).any(axis=1))[0]
-        if rows.size == 0:
-            continue
-        for ax in range(mesh.dim):
-            plus = mesh.vertices.copy()
-            plus[v, ax] += h
-            minus = mesh.vertices.copy()
-            minus[v, ax] -= h
-            d_vertices[v, ax] = (sub_loss(plus, rows, mesh.densities)
-                                 - sub_loss(minus, rows, mesh.densities)) / (2 * h)
-    d_densities = np.zeros_like(mesh.densities)
-    for e in range(mesh.n_elements):
-        for ch in range(mesh.channels):
-            plus = mesh.densities.copy()
-            plus[e, ch] += h
-            minus = mesh.densities.copy()
-            minus[e, ch] -= h
-            d_densities[e, ch] = (sub_loss(mesh.vertices, [e], plus)
-                                  - sub_loss(mesh.vertices, [e], minus)) / (2 * h)
-    return MeshGradient(d_vertices, d_densities)
+    return _central_differences(mesh, forward, grid, cot, h, local=True)
 
 
 # ---------------------------------------------------------------------------

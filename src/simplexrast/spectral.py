@@ -162,37 +162,6 @@ def inverse_transform(f: SpectralField) -> Raster:
     return Raster(dim=d, resolution=r, values=np.moveaxis(values, 0, -1))
 
 
-def inverse_transform_direct(f: SpectralField) -> Raster:
-    """Reference synthesis by direct summation; O(N^2), test oracle."""
-    grid = f.grid
-    r, d = grid.resolution, grid.dim
-    full = _full_spectrum(f)  # (r,)*d + (c,)
-    # one DFT-by-matrix per axis: exp(+2 pi i q x / r) with q the array index
-    e = np.exp(2j * np.pi * np.outer(np.arange(r), np.arange(r)) / r)
-    out = full
-    for axis in range(d):
-        out = np.tensordot(e, np.moveaxis(out, axis, 0), axes=(1, 0))
-        out = np.moveaxis(out, 0, axis)
-    return Raster(dim=d, resolution=r, values=out.real)
-
-
-def _full_spectrum(f: SpectralField) -> np.ndarray:
-    """Expand the stored half-spectrum to all R^d modes (stored values win)."""
-    grid = f.grid
-    r, d = grid.resolution, grid.dim
-    half = f.coeffs.reshape(grid.half_shape + (f.channels,))
-    full = np.zeros((r,) * d + (f.channels,), dtype=np.complex128)
-    keep = r // 2 + 1
-    full[..., :keep, :] = half
-    flip = (-np.arange(r)) % r
-    for q in range(keep, r):
-        sub = half[..., r - q, :]
-        for axis in range(d - 1):
-            sub = np.take(sub, flip, axis=axis)
-        full[..., q, :] = np.conj(sub)
-    return full
-
-
 def adjoint_transform(raster_values, grid: SpectralGrid) -> SpectralField:
     """Exact adjoint of :func:`inverse_transform` under the fold-weighted pairing.
 

@@ -2,10 +2,12 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 import simplexrast as sr
 from simplexrast.cli import (
     BENCH_CSV_HEADER,
+    EXIT_DIVERGED,
     TRAJECTORY_CSV_HEADER,
     main,
 )
@@ -75,6 +77,16 @@ class TestRasterizeCommand:
                      "--out", str(tmp_path / "o.f32")])
         assert code == 2
         assert "validation" in capsys.readouterr().err
+
+
+    def test_out_of_range_index_exit_2_without_strict(self, tmp_path, capsys):
+        for bad in (-1, 7):
+            broken = dict(UNIT_TRIANGLE, elements=[[0, 1, bad]])
+            mesh = write_json(tmp_path / "broken.json", broken)
+            code = main(["rasterize", "--mesh", mesh, "--res", "8",
+                         "--out", str(tmp_path / "o.f32")])
+            assert code == 2
+            assert "out of range" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:
@@ -164,6 +176,16 @@ class TestFitCommand:
         assert (out / "snapshot_000050.json").exists()
         final = sr.load_mesh(out / "final.json")
         assert np.abs(final.vertices - (np.array(SQUARE) + [0.05, 0.0])).max() < 0.01
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+    def test_diverged_fit_exit_4(self, tmp_path, capsys):
+        self.make_problem(tmp_path, (0.05, 0.0))
+        problem = json.loads((tmp_path / "problem.json").read_text())
+        path = write_json(tmp_path / "huge_step.json", dict(problem, step=1e300))
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "fit diverged: non-finite loss" in err
+        assert "Traceback" not in err
 
     def test_missing_target_exit_1(self, tmp_path):
         problem = {"variable": "vertices", "loss": "l2",

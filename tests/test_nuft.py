@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import simplexrast as sr
 from simplexrast.nuft import _divided_diff_series
+import oracles
 from conftest import mp_divided_diff
 
 TWO_PI = 2.0 * np.pi
@@ -30,17 +31,17 @@ def mc_triangle_oracle(pts, density, k, n=4_000_000, seed=20240817):
 
 class TestSigma:
     def test_direct_dot(self):
-        assert sr.sigma([TWO_PI, 0.0], [0.5, 0.3]) == pytest.approx(np.pi)
+        assert oracles.sigma([TWO_PI, 0.0], [0.5, 0.3]) == pytest.approx(np.pi)
 
     def test_zero_wavevector(self):
-        assert sr.sigma([0.0, 0.0], [0.9, 0.1]) == 0.0
+        assert oracles.sigma([0.0, 0.0], [0.9, 0.1]) == 0.0
 
     def test_diagonal(self):
-        assert sr.sigma([TWO_PI, TWO_PI], [0.25, 0.25]) == pytest.approx(np.pi)
+        assert oracles.sigma([TWO_PI, TWO_PI], [0.25, 0.25]) == pytest.approx(np.pi)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sr.sigma([1.0, 2.0, 3.0], [0.5, 0.3])
+            oracles.sigma([1.0, 2.0, 3.0], [0.5, 0.3])
 
 
 class TestEvalS:
@@ -96,18 +97,18 @@ class TestEvalS:
 
 class TestForwardElement:
     def test_dc_is_density_times_content(self):
-        val = sr.forward_element(UNIT_TRIANGLE, 1.0, [0.0, 0.0])
+        val = oracles.forward_element(UNIT_TRIANGLE, 1.0, [0.0, 0.0])
         assert val.real == pytest.approx(0.5, rel=1e-12)
         assert val.imag == 0.0
 
     def test_point_is_plane_wave(self):
         x = np.array([0.3, 0.4])
         k = np.array([TWO_PI, -2 * TWO_PI])
-        val = sr.forward_element(x[None, :], 1.0, k)
+        val = oracles.forward_element(x[None, :], 1.0, k)
         assert val == pytest.approx(np.exp(-1j * (k @ x)), abs=1e-12)
 
     def test_matches_monte_carlo_quadrature(self):
-        val = sr.forward_element(MC_TRIANGLE, MC_DENSITY, TWO_PI * np.array([1.0, 0.0]))
+        val = oracles.forward_element(MC_TRIANGLE, MC_DENSITY, TWO_PI * np.array([1.0, 0.0]))
         assert abs(val - MC_VALUE) <= 1e-3 * abs(MC_VALUE)
 
     def test_segment_matches_dense_quadrature(self):
@@ -117,7 +118,7 @@ class TestForwardElement:
         xs = (1 - t) * seg[0] + t * seg[1]
         length = np.linalg.norm(seg[1] - seg[0])
         ref = length * np.trapezoid(np.exp(-1j * (xs @ k)), t[:, 0], axis=0)
-        assert sr.forward_element(seg, 1.0, k) == pytest.approx(ref, rel=1e-8)
+        assert oracles.forward_element(seg, 1.0, k) == pytest.approx(ref, rel=1e-8)
 
 
 class TestForwardMesh:
@@ -169,19 +170,22 @@ class TestForwardMesh:
         for m in grid.modes[:: max(1, grid.n_modes // 12)]:
             k = TWO_PI * m.astype(float)
             total_pos = sum(
-                sr.forward_element(mesh.element_points()[e], mesh.densities[e, 0], k)
+                oracles.forward_element(mesh.element_points()[e], mesh.densities[e, 0], k)
                 for e in range(mesh.n_elements))
             total_neg = sum(
-                sr.forward_element(mesh.element_points()[e], mesh.densities[e, 0], -k)
+                oracles.forward_element(mesh.element_points()[e], mesh.densities[e, 0], -k)
                 for e in range(mesh.n_elements))
             assert total_neg == pytest.approx(np.conj(total_pos), abs=1e-12)
 
     def test_element_parallel_chunks_match(self, rng):
-        mesh = sr.random_mesh(2, 2, 17, rng)
         grid = sr.build_grid(2, 8)
-        f1 = sr.forward_mesh(mesh, grid, workers=1).coeffs
-        f4 = sr.forward_mesh(mesh, grid, workers=4).coeffs
-        assert np.abs(f4 - f1).max() <= 1e-12 * max(1.0, np.abs(f1).max())
+        cases = [(sr.forward_mesh, sr.random_mesh(2, 2, 17, rng)),
+                 (sr.forward_auxnode,
+                  sr.polygon_boundary_mesh(sr.random_convex_polygon(17, rng)))]
+        for forward, mesh in cases:
+            f1 = forward(mesh, grid, workers=1).coeffs
+            f4 = forward(mesh, grid, workers=4).coeffs
+            assert np.abs(f4 - f1).max() <= 1e-12 * max(1.0, np.abs(f1).max())
 
     def test_complexity_contract_phase_count(self, rng):
         # forward evaluates (j+1) * n_e * n_modes phases: shape check on sigma
@@ -281,7 +285,7 @@ class TestAuxNode:
 
 
 def test_imaginary_power_cycle():
-    assert [sr.imaginary_power(j) for j in range(5)] == [1, 1j, -1, -1j, 1]
+    assert [oracles.imaginary_power(j) for j in range(5)] == [1, 1j, -1, -1j, 1]
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import simplexrast as sr
+import oracles
 
 
 class TestBuildGrid:
@@ -115,7 +116,7 @@ class TestInverseTransform:
             grid = sr.build_grid(d, r)
             field = sr.random_spectral_cotangent(grid, rng, channels=c)
             fast = sr.inverse_transform(field).values
-            direct = sr.inverse_transform_direct(field).values
+            direct = oracles.inverse_transform_direct(field).values
             assert np.abs(fast - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
 
     def test_centered_half_square_indicator(self):
