@@ -136,7 +136,7 @@ def _backward_chunk(pts, elements, dens, weights, dweights, degenerate,
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
-              auxnode: bool, strict: bool, degeneracy_eps: float, workers) -> MeshGradient:
+              auxnode: bool, strict: bool, workers) -> MeshGradient:
     if not cotangent.grid.matches(grid):
         raise ValueError("cotangent grid does not match the requested grid")
     if cotangent.channels != mesh.channels:
@@ -145,7 +145,7 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     pts, weights = _checked_elements(mesh, grid, auxnode)
     # only the simplex weight gradient divides by the weight
     degenerate = (np.zeros(mesh.n_elements, dtype=bool) if auxnode
-                  else weights <= degeneracy_eps * math.factorial(mesh.degree))
+                  else weights <= DEGENERACY_EPS * math.factorial(mesh.degree))
     if degenerate.any() and strict:
         raise DegenerateElementError(
             [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
@@ -165,8 +165,7 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
 
 
 def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
-                  strict: bool = False, degeneracy_eps: float = DEGENERACY_EPS,
-                  workers=None) -> MeshGradient:
+                  strict: bool = False, workers=None) -> MeshGradient:
     """Gradient of ``L(F) = sum_m w(m) Re[conj(G) F]`` in vertices and densities.
 
     Vertices shared by several elements accumulate; vertices unused by any
@@ -174,7 +173,7 @@ def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralFiel
     threshold contribute zero vertex gradient (with a warning) unless
     ``strict`` raises.
     """
-    return _backward(mesh, grid, cotangent, False, strict, degeneracy_eps, workers)
+    return _backward(mesh, grid, cotangent, False, strict, workers)
 
 
 def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
@@ -188,7 +187,7 @@ def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     """
     if boundary_mesh.degree != boundary_mesh.dim - 1:
         raise ValueError("auxnode backward needs a boundary of degree dim-1")
-    return _backward(boundary_mesh, grid, cotangent, True, False, DEGENERACY_EPS, workers)
+    return _backward(boundary_mesh, grid, cotangent, True, False, workers)
 
 
 # ---------------------------------------------------------------------------

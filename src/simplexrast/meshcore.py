@@ -95,15 +95,14 @@ class SimplexMesh:
                            self.elements, self.densities)
 
 
-def validate(mesh: SimplexMesh, strict: bool = False,
-             degeneracy_eps: float = DEGENERACY_EPS) -> list[str]:
+def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
     """Collect invariant violations; empty list means the mesh is usable.
 
     Always checked: degree/dimension support, finiteness, index range,
     repeated nodes within an element.  Coordinates outside [0, 1] are
     flagged (periodic aliasing hazard) but the mesh stays usable.  With
     ``strict=True`` every element of degree >= 1 must have content above
-    ``degeneracy_eps``.
+    ``DEGENERACY_EPS``.
     """
     v: list[str] = []
     if mesh.dim not in (2, 3):
@@ -132,8 +131,8 @@ def validate(mesh: SimplexMesh, strict: bool = False,
             v.append(f"element {e}: repeated vertex index")
     if strict and mesh.degree >= 1 and not bad_index.any():
         contents = element_contents(mesh)
-        for e in np.nonzero(contents <= degeneracy_eps)[0]:
-            v.append(f"element {e}: degenerate (content {contents[e]:.3e} <= {degeneracy_eps:.0e})")
+        for e in np.nonzero(contents <= DEGENERACY_EPS)[0]:
+            v.append(f"element {e}: degenerate (content {contents[e]:.3e} <= {DEGENERACY_EPS:.0e})")
     return v
 
 

@@ -16,10 +16,13 @@ from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, q
 from .meshcore import SimplexMesh
 from .pipeline import (
     RasterizeConfig,
-    loss_mres,
+    loss_mres,  # not called here: perfbench/layers.py wraps optimizer.loss_mres
     loss_smooth,
+    polygon_boundary_mesh,
+    polygon_signed_area,
     rasterize,
     rasterize_backward,
+    rasterize_polygon,
 )
 from .spectral import Raster
 
@@ -53,6 +56,8 @@ class FitProblem:
     quaternion pose.  ``loss`` is a raster L1/L2 against the target, or
     the multi-resolution + smoothness composite for polygon boundaries.
     ``target`` may be a raster or a mesh (rasterized once at ``config``).
+    ``mres_smooth`` replaces ``mesh`` by its vertex loop at unit density,
+    walked counter-clockwise, and takes a polygon or its mesh as target.
     """
 
     mesh: SimplexMesh
@@ -80,6 +85,12 @@ class FitProblem:
                 raise ValueError("mres_smooth loss runs on a polygon boundary mesh")
             if not self.mres_resolutions:
                 raise ValueError("mres_smooth loss needs resolutions")
+            if self.variable != "vertices":
+                raise ValueError("mres_smooth fits polygon vertices directly")
+            loop = polygon_boundary_mesh(self.mesh.vertices)
+            if polygon_signed_area(loop.vertices) < 0:  # walk the edges backwards
+                loop.elements = loop.n_vertices - 1 - loop.elements
+            self.mesh = loop
         if self.smooth_weight < 0:
             raise ValueError("smoothness weight must be >= 0")
 
@@ -121,65 +132,58 @@ class FitResult:
         return np.array([p.loss for p in self.trajectory])
 
 
-def _target_raster(problem: FitProblem) -> Raster:
-    if isinstance(problem.target, Raster):
+def make_objective(problem: FitProblem):
+    """Callable (state, need_grad=True) -> (loss, gradient-or-None).
+
+    Sums the raster L2 (``l2``) or L1 distance to each target, rasterized
+    here once, plus for ``mres_smooth`` the weighted loop smoothness.
+    """
+    if problem.loss == "mres_smooth":
+        target = problem.target.vertices if isinstance(problem.target, SimplexMesh) \
+            else problem.target
+        configs = [replace(problem.config, resolution=int(r), mode="auxnode")
+                   for r in problem.mres_resolutions]
+        terms = [(cfg, rasterize_polygon(target, cfg)) for cfg in configs]
+    elif isinstance(problem.target, Raster):
         if problem.target.resolution != problem.config.resolution:
             raise ValueError("target raster resolution does not match config")
-        return problem.target
-    if isinstance(problem.target, SimplexMesh):
-        return rasterize(problem.target, problem.config)
-    raise TypeError("target must be a Raster or a SimplexMesh")
-
-
-def _raster_objective(problem: FitProblem, target: Raster, state: np.ndarray,
-                      need_grad: bool = True):
-    mesh = problem.geometry(state)
-    raster = rasterize(mesh, problem.config)
-    diff = raster.values - target.values
-    if problem.loss == "l1":
-        value = float(np.abs(diff).sum())
-        cot = np.sign(diff)
+        terms = [(problem.config, problem.target)]
+    elif isinstance(problem.target, SimplexMesh):
+        terms = [(problem.config, rasterize(problem.target, problem.config))]
     else:
-        value = float((diff ** 2).sum())
-        cot = 2.0 * diff
-    if not need_grad:
-        return value, None
-    grad = rasterize_backward(mesh, problem.config, cot)
-    dv = grad.d_vertices
-    if problem.variable == "vertices":
-        return value, dv.reshape(-1)
-    if problem.variable == "rig":
-        rig = replace(problem.rig, controls=state.reshape(-1, 3))
-        return value, lbs_pullback(rig, dv).reshape(-1)
-    pose = PoseQuat(state[:4], state[4:], problem.pose.pivot)
-    d_q, d_t = quat_pullback(pose, problem.mesh.vertices, dv)
-    return value, np.concatenate([d_q, d_t])
+        raise TypeError("target must be a Raster or a SimplexMesh")
+    smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
 
+    def objective(state, need_grad=True):
+        mesh = problem.geometry(state)
+        value, grads = 0.0, []
+        for config, target in terms:
+            diff = rasterize(mesh, config).values - target.values
+            if problem.loss == "l2":
+                value += float((diff ** 2).sum())
+                cot = 2.0 * diff
+            else:
+                value += float(np.abs(diff).sum())
+                cot = np.sign(diff)
+            if need_grad:
+                grads.append(rasterize_backward(mesh, config, cot).d_vertices)
+        if smooth:
+            s_val, s_grad = loss_smooth(mesh.vertices)
+            value += problem.smooth_weight * s_val
+            grads.append(problem.smooth_weight * s_grad)
+        if not need_grad:
+            return value, None
+        dv = np.sum(grads, axis=0)
+        if problem.variable == "vertices":
+            return value, dv.reshape(-1)
+        if problem.variable == "rig":
+            rig = replace(problem.rig, controls=state.reshape(-1, 3))
+            return value, lbs_pullback(rig, dv).reshape(-1)
+        pose = PoseQuat(state[:4], state[4:], problem.pose.pivot)
+        d_q, d_t = quat_pullback(pose, problem.mesh.vertices, dv)
+        return value, np.concatenate([d_q, d_t])
 
-def _mres_objective(problem: FitProblem, state: np.ndarray, need_grad: bool = True):
-    polygon = state.reshape(-1, 2)
-    target_poly = problem.target if not isinstance(problem.target, SimplexMesh) \
-        else problem.target.vertices
-    pairs = [(polygon, r) for r in problem.mres_resolutions]
-    value, grads = loss_mres(pairs, target_poly, problem.config)
-    grad = np.sum(grads, axis=0)
-    if problem.smooth_weight > 0:
-        s_val, s_grad = loss_smooth(polygon)
-        value += problem.smooth_weight * s_val
-        grad = grad + problem.smooth_weight * s_grad
-    if not need_grad:
-        return value, None
-    return value, grad.reshape(-1)
-
-
-def make_objective(problem: FitProblem):
-    """Callable (state, need_grad=True) -> (loss, gradient-or-None)."""
-    if problem.loss == "mres_smooth":
-        if problem.variable != "vertices":
-            raise ValueError("mres_smooth fits polygon vertices directly")
-        return lambda state, need_grad=True: _mres_objective(problem, state, need_grad)
-    target = _target_raster(problem)
-    return lambda state, need_grad=True: _raster_objective(problem, target, state, need_grad)
+    return objective
 
 
 def fit(problem: FitProblem) -> FitResult:

@@ -46,24 +46,24 @@ class RasterizeConfig:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-def rasterize(mesh: SimplexMesh, config: RasterizeConfig, workers=None) -> Raster:
+def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:
     """Filtered raster of the mesh's piecewise-constant field."""
     grid = build_grid(mesh.dim, config.resolution)
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
-    field = forward(mesh, grid, strict=config.strict, workers=workers)
+    field = forward(mesh, grid, strict=config.strict)
     field = apply_filter(field, gaussian_filter(grid, config.filter_width))
     return inverse_transform(field)
 
 
 def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
-                       raster_cotangent, workers=None) -> MeshGradient:
+                       raster_cotangent) -> MeshGradient:
     """Gradient of ``L = sum_pixels cotangent * raster`` in mesh parameters."""
     grid = build_grid(mesh.dim, config.resolution)
     cot = adjoint_transform(raster_cotangent, grid)
     cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))
     if config.mode == "simplex":
-        return backward_mesh(mesh, grid, cot, strict=config.strict, workers=workers)
-    return backward_auxnode(mesh, grid, cot, workers=workers)
+        return backward_mesh(mesh, grid, cot, strict=config.strict)
+    return backward_auxnode(mesh, grid, cot)
 
 
 def raster_loss(mesh: SimplexMesh, config: RasterizeConfig, raster_cotangent) -> float:
@@ -152,28 +152,33 @@ def loss_mres(candidates, target_polygon, config: RasterizeConfig):
     total = 0.0
     grads = []
     for polygon, resolution in candidates:
-        poly = ensure_ccw(polygon)
+        mesh = polygon_boundary_mesh(ensure_ccw(polygon))
         flipped = polygon_signed_area(np.asarray(polygon, float)) < 0
         cfg = replace(config, resolution=int(resolution), mode="auxnode")
-        cand_raster = rasterize(polygon_boundary_mesh(poly), cfg)
-        targ_raster = rasterize(polygon_boundary_mesh(ensure_ccw(target)), cfg)
-        diff = cand_raster.values - targ_raster.values
+        diff = rasterize(mesh, cfg).values - rasterize_polygon(target, cfg).values
         total += float(np.abs(diff).sum())
-        cot = np.sign(diff)
-        grad = rasterize_backward(polygon_boundary_mesh(poly), cfg, cot)
-        dv = grad.d_vertices
+        dv = rasterize_backward(mesh, cfg, np.sign(diff)).d_vertices
         grads.append(dv[::-1].copy() if flipped else dv)
     return total, grads
 
 
-def interior_angles(polygon) -> np.ndarray:
-    """Interior angle at every vertex of a CCW simple polygon."""
-    p = ensure_ccw(polygon)
-    e_in = p - np.roll(p, 1, axis=0)
-    e_out = np.roll(p, -1, axis=0) - p
+def _ccw_corners(polygon):
+    """Whether walking the loop counter-clockwise reverses it, and per corner
+    of that walk the edges in and out, their cross and dot, and the angle."""
+    p = _check_polygon(polygon)
+    flipped = polygon_signed_area(p) < 0
+    q = p[::-1].copy() if flipped else p
+    e_in = q - np.roll(q, 1, axis=0)
+    e_out = np.roll(q, -1, axis=0) - q
     cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
     dot = np.einsum("nd,nd->n", e_in, e_out)
-    return np.pi - np.arctan2(cross, dot)
+    return flipped, e_in, e_out, cross, dot, np.pi - np.arctan2(cross, dot)
+
+
+def interior_angles(polygon) -> np.ndarray:
+    """Interior angle at every vertex of a simple polygon, in input order."""
+    flipped, *_, angles = _ccw_corners(polygon)
+    return angles[::-1].copy() if flipped else angles
 
 
 def loss_smooth(polygon):
@@ -183,17 +188,8 @@ def loss_smooth(polygon):
     vertex gradient.  Zero exactly when the boundary is locally straight
     everywhere.
     """
-    p = _check_polygon(polygon)
-    flipped = polygon_signed_area(p) < 0
-    q = p[::-1].copy() if flipped else p
-    n = q.shape[0]
-    prev_q = np.roll(q, 1, axis=0)
-    next_q = np.roll(q, -1, axis=0)
-    e_in = q - prev_q
-    e_out = next_q - q
-    cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
-    dot = np.einsum("nd,nd->n", e_in, e_out)
-    angles = np.pi - np.arctan2(cross, dot)
+    flipped, e_in, e_out, cross, dot, angles = _ccw_corners(polygon)
+    n = len(angles)
     residual = angles / np.pi - 1.0
     value = float(np.mean(residual ** 2))
 
@@ -205,7 +201,7 @@ def loss_smooth(polygon):
     dc_dout = perp(e_in)         # d cross / d e_out = (-e_in_y, e_in_x)
     dg_din = coeff[:, None] * (dot[:, None] * dc_din - cross[:, None] * e_out)
     dg_dout = coeff[:, None] * (dot[:, None] * dc_dout - cross[:, None] * e_in)
-    d_vertices = np.zeros_like(q)
+    d_vertices = np.zeros_like(e_in)
     # e_in(k) = q_k - q_{k-1}; e_out(k) = q_{k+1} - q_k
     d_vertices += dg_din - dg_dout
     d_vertices += np.roll(dg_dout, 1, axis=0)   # as the next vertex of k-1

@@ -127,3 +127,59 @@ class TestFit:
             sr.FitProblem(mesh=sr.polygon_boundary_mesh(SQUARE),
                           target=None, config=sr.RasterizeConfig(resolution=8),
                           schedule=sr.Schedule(step=1e-3), variable="pose")
+
+
+def mres_problem(start, max_iters=30):
+    return sr.FitProblem(
+        mesh=sr.polygon_boundary_mesh(start),
+        target=sr.polygon_boundary_mesh(SQUARE + [0.05, 0.0]),
+        config=sr.RasterizeConfig(resolution=16, mode="auxnode"),
+        schedule=sr.Schedule(step=2e-4, max_iters=max_iters),
+        loss="mres_smooth", mres_resolutions=(16, 8), smooth_weight=0.01)
+
+
+class TestObjective:
+    def test_calls_per_resolution(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(sr.pipeline, "forward_auxnode",
+                            counted("forward", sr.pipeline.forward_auxnode))
+        monkeypatch.setattr(sr.pipeline, "backward_auxnode",
+                            counted("backward", sr.pipeline.backward_auxnode))
+        problem = mres_problem(SQUARE)
+        n_res = len(problem.mres_resolutions)
+        objective = sr.make_objective(problem)
+        assert calls == {"forward": n_res, "backward": 0}  # each target once
+        state = problem.initial_state()
+        for need_grad, backward in ((False, 0), (True, 1)):
+            calls.update(forward=0, backward=0)
+            _, grad = objective(state, need_grad=need_grad)
+            assert (grad is not None) == need_grad
+            assert calls == {"forward": n_res, "backward": backward * n_res}
+
+    def test_clockwise_start_matches_ccw_twin(self):
+        cw = sr.fit(mres_problem(SQUARE[::-1] + [0.01, 0.02], max_iters=15))
+        ccw = sr.fit(mres_problem(SQUARE + [0.01, 0.02], max_iters=15))
+        assert len(cw.losses) == len(ccw.losses) == 16
+        assert np.allclose(cw.losses, ccw.losses, rtol=1e-12, atol=0.0)
+        assert np.allclose(cw.state.reshape(-1, 2)[::-1], ccw.state.reshape(-1, 2),
+                           rtol=1e-12, atol=0.0)
+
+    def test_matches_public_losses(self):
+        start = SQUARE[::-1] + [[0.01, 0.0], [0.0, 0.02], [-0.01, 0.0], [0.0, 0.0]]
+        problem = mres_problem(start)
+        value, grad = sr.make_objective(problem)(problem.initial_state())
+        target = SQUARE + [0.05, 0.0]
+        mres, mres_grads = sr.loss_mres([(start, 16), (start, 8)], target, problem.config)
+        smooth, smooth_grad = sr.loss_smooth(start)
+        expected = mres + 0.01 * smooth
+        expected_grad = mres_grads[0] + mres_grads[1] + 0.01 * smooth_grad
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+        assert np.max(np.abs(grad - expected_grad.reshape(-1))) \
+            <= 1e-12 * np.max(np.abs(expected_grad))

@@ -177,6 +177,13 @@ class TestLossSmooth:
     def test_interior_angles_square(self):
         assert np.allclose(sr.interior_angles(SQUARE), np.pi / 2)
 
+    def test_interior_angles_clockwise_in_input_order(self):
+        tri = np.array([[0.1, 0.1], [0.8, 0.2], [0.3, 0.6]])  # scalene, CCW
+        ccw = sr.interior_angles(tri)
+        assert np.isclose(ccw.sum(), np.pi)
+        assert len(np.unique(np.round(ccw, 6))) == 3
+        assert np.array_equal(sr.interior_angles(tri[::-1]), ccw[::-1])
+
 
 class TestSubdivide:
     def test_zero_offsets_double_without_shape_change(self):
