@@ -3,9 +3,9 @@
 Per element and mode, the coefficient derivative with respect to a vertex
 splits into a kernel part (derivative of the phase divided difference,
 scaled by the element weight and pointing along the wavevector) and a
-weight part (a row of the Cayley-Menger adjugate against the doubled
-coordinate differences, or for an auxiliary simplex a row of the adjugate
-of its offset matrix, scaled by the kernel).  The kernel derivative with
+weight part (the weight's vertex gradient from ``meshcore``: Gram rows
+``gamma * G^-1 E`` for a simplex, cofactor rows of the offset matrix for
+an auxiliary simplex, scaled by the kernel).  The kernel derivative with
 respect to one phase equals the divided difference with that node
 repeated, which is how near-confluent phases stay accurate.
 
@@ -16,19 +16,12 @@ weights, and the backward pass returns the exact gradient of that L.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meshcore import (
-    DEGENERACY_EPS,
-    DegenerateElementError,
-    SimplexMesh,
-    _batch_adjugate,
-    _batch_cayley_menger,
-)
+from .meshcore import DegenerateElementError, SimplexMesh, _weight_gradients
 from .nuft import (
     _I_POW,
     _checked_elements,
@@ -91,24 +84,6 @@ def _kernel_batch(sig):
     return _eval_kernel(sig, lk), coefs
 
 
-def _weight_gradients(pts, weights, degenerate, auxnode: bool) -> np.ndarray:
-    """Gradient of each element weight per vertex slot, shape (n_e, nodes, d).
-
-    Simplex: row p+1 of the Cayley-Menger adjugate against the doubled
-    coordinate differences, over the weight (degenerate rows are left
-    for the caller to zero).  Auxiliary simplex: row p of the adjugate of
-    the offset matrix, which never divides by the possibly ~zero weight.
-    """
-    if auxnode:
-        return _batch_adjugate(np.swapaxes(pts, 1, 2))[0]
-    j = pts.shape[1] - 1
-    adj, _ = _batch_adjugate(_batch_cayley_menger(pts))
-    dmat = 2.0 * (pts[:, :, None, :] - pts[:, None, :, :])  # zero on the diagonal
-    scale = (-1.0) ** (j + 1) / 2.0 ** j
-    safe = np.where(degenerate, 1.0, weights)
-    return scale / safe[:, None, None] * np.einsum("epm,epmd->epd", adj[:, 1:, 1:], dmat)
-
-
 def _backward_chunk(pts, elements, dens, weights, dweights, degenerate,
                     grid, cot, n_vertices, auxnode: bool, d_densities) -> np.ndarray:
     """Vertex gradient of one element span; its density rows go to ``d_densities``."""
@@ -143,14 +118,11 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
         raise ValueError(
             f"cotangent has {cotangent.channels} channels, mesh has {mesh.channels}")
     pts, weights = _checked_elements(mesh, grid, auxnode)
-    # only the simplex weight gradient divides by the weight
-    degenerate = (np.zeros(mesh.n_elements, dtype=bool) if auxnode
-                  else weights <= DEGENERACY_EPS * math.factorial(mesh.degree))
+    dweights, degenerate = _weight_gradients(pts, weights, auxnode)
     if degenerate.any() and strict:
         raise DegenerateElementError(
             [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
     d_densities = np.zeros_like(mesh.densities)
-    dweights = _weight_gradients(pts, weights, degenerate, auxnode)
     d_vertices = _run_chunks(
         mesh.n_elements,
         lambda lo, hi: _backward_chunk(
@@ -181,8 +153,8 @@ def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     """Backward pass through the auxiliary-node transform.
 
     Each auxiliary simplex keeps the origin node fixed (it receives no
-    gradient); the signed distortion differentiates through the column
-    adjugate of the offset matrix, so no division by the (possibly ~zero)
+    gradient); the signed distortion differentiates through the cofactor
+    rows of the offset matrix, so no division by the (possibly ~zero)
     signed content occurs.
     """
     if boundary_mesh.degree != boundary_mesh.dim - 1:

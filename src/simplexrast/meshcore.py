@@ -8,11 +8,14 @@ meshes.  Coordinates canonically live in the unit box; values outside it
 alias periodically rather than clip, so validation flags them instead of
 rejecting.
 
-Element measure ("content": length / area / volume) comes from the
-Cayley-Menger determinant of pairwise squared distances, which is uniform
-across degrees and needs no embedding-specific formula.  The distortion
-factor is ``j! * content`` (content relative to the unit orthogonal
-simplex) and is the geometric weight used by the spectral transform.
+Element measure ("content": length / area / volume) comes from the Gram
+determinant of the edge rows ``E = x_1..x_j - x_0``: the distortion factor
+``j! * content`` (content relative to the unit orthogonal simplex) is
+``sqrt(det(E E^T))``, uniform across degrees and embeddings.  It is the
+geometric weight of the spectral transform; an auxiliary simplex (origin,
+x_1..x_j) with d == j weighs ``det J`` instead, J the matrix of rows
+x_1..x_j.  The weights, their vertex gradients and the degeneracy rule
+are all defined here.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ import numpy as np
 
 #: content at or below this is degenerate for strict validation / gradients
 DEGENERACY_EPS = 1e-12
-
-#: adjugate falls back to cofactor expansion below this determinant magnitude
-_ADJUGATE_DET_FLOOR = 1e-300
 
 
 class MeshValidationError(ValueError):
@@ -111,13 +111,14 @@ def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
         v.append(f"degree {mesh.degree} unsupported (expected 0..3)")
     if mesh.degree > mesh.dim:
         v.append(f"degree {mesh.degree} exceeds dimension {mesh.dim}")
-    if not np.all(np.isfinite(mesh.vertices)):
+    finite = bool(np.all(np.isfinite(mesh.vertices)))
+    if not finite:
         v.append("non-finite vertex coordinates")
     if not np.all(np.isfinite(mesh.densities)):
         v.append("non-finite densities")
     # The unit box is half-open in principle, but a coordinate exactly at 1
     # aliases to 0 without harm, so only strictly-outside values are flagged.
-    if mesh.vertices.size and np.all(np.isfinite(mesh.vertices)):
+    if mesh.vertices.size and finite:
         outside = np.any((mesh.vertices < 0.0) | (mesh.vertices > 1.0), axis=1)
         if outside.any():
             v.append(f"{int(outside.sum())} vertices outside the unit box (periodic wrap applies)")
@@ -129,7 +130,7 @@ def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
         repeated &= ~bad_index
         for e in np.nonzero(repeated)[0]:
             v.append(f"element {e}: repeated vertex index")
-    if strict and mesh.degree >= 1 and not bad_index.any():
+    if strict and mesh.degree >= 1 and finite and not bad_index.any():
         contents = element_contents(mesh)
         for e in np.nonzero(contents <= DEGENERACY_EPS)[0]:
             v.append(f"element {e}: degenerate (content {contents[e]:.3e} <= {DEGENERACY_EPS:.0e})")
@@ -189,53 +190,60 @@ def signed_distortion(offsets) -> float:
     return math.factorial(j) * float(np.linalg.det(m))
 
 
-def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    adj = np.empty_like(a)
-    rows = np.arange(n)
-    for p in range(n):
-        for q in range(n):
-            minor = a[np.ix_(rows != p, rows != q)]
-            adj[q, p] = (-1.0) ** (p + q) * np.linalg.det(minor)
-    return adj
-
-
 # ---------------------------------------------------------------------------
-# batched per-mesh geometry (hot path for the transform and its gradients)
+# batched element weights (hot path for the transform and its gradients)
 
-def _batch_cayley_menger(pts: np.ndarray) -> np.ndarray:
-    """CM matrices for a stack of elements, pts shape (n_e, j+1, d)."""
-    n_e, m, _ = pts.shape
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    d2 = np.einsum("estd,estd->est", diff, diff)
-    b = np.zeros((n_e, m + 1, m + 1))
-    b[:, 0, 1:] = 1.0
-    b[:, 1:, 0] = 1.0
-    b[:, 1:, 1:] = d2
-    return b
+def _edge_gram(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge rows x_1..x_j - x_0 and their Gram matrices, pts shape (n_e, j+1, d)."""
+    edges = pts[:, 1:] - pts[:, :1]
+    return edges, edges @ np.swapaxes(edges, 1, 2)
+
+
+def _element_weights(pts: np.ndarray, auxnode: bool) -> np.ndarray:
+    """Kernel weight per element: j! * content = sqrt(det G), or det J for
+    the auxiliary simplex (its distortion |det J| with the orientation sign;
+    a j!-scaled weight would overcount by j!).  Tiny negative round-off of
+    det G is clamped, so exactly-degenerate simplices weigh 0."""
+    if auxnode:
+        return np.linalg.det(pts)
+    return np.sqrt(np.clip(np.linalg.det(_edge_gram(pts)[1]), 0.0, None))
 
 
 def _batch_content(pts: np.ndarray) -> np.ndarray:
+    return _element_weights(pts, False) / math.factorial(pts.shape[1] - 1)
+
+
+def _cofactor_rows(rows: np.ndarray) -> np.ndarray:
+    """d(det)/d(row) of square 2x2 or 3x3 matrices given by their rows.
+
+    Closed-form cofactors: exact at det = 0, so no fallback is needed.
+    """
+    if rows.shape[1] == 2:
+        r0, r1 = rows[:, 0], rows[:, 1]
+        return np.stack([np.stack([r1[:, 1], -r1[:, 0]], axis=-1),
+                         np.stack([-r0[:, 1], r0[:, 0]], axis=-1)], axis=1)
+    r0, r1, r2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
+
+
+def _weight_gradients(pts: np.ndarray, weights: np.ndarray,
+                      auxnode: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of each element weight per vertex slot, shape (n_e, j+1, d),
+    and the mask of degenerate elements (content <= ``DEGENERACY_EPS``).
+
+    Simplex: edge row i gets ``gamma * (G^-1 E)_i`` and node 0 minus their
+    sum; degenerate elements solve against G := I and get zero rows.
+    Auxiliary simplex: the cofactor rows of J, never degenerate.
+    """
+    if auxnode:
+        return _cofactor_rows(pts), np.zeros(len(pts), dtype=bool)
     j = pts.shape[1] - 1
-    if j == 0:
-        return np.ones(pts.shape[0])
-    det = np.linalg.det(_batch_cayley_menger(pts))
-    val = ((-1.0) ** (j + 1) / (2.0 ** j * math.factorial(j) ** 2)) * det
-    return np.sqrt(np.clip(val, 0.0, None))
-
-
-def _batch_adjugate(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjugates and determinants for a stack of small matrices."""
-    det = np.linalg.det(b)
-    adj = np.empty_like(b)
-    ok = np.abs(det) > _ADJUGATE_DET_FLOOR
-    if ok.any():
-        adj[ok] = det[ok, None, None] * np.linalg.inv(b[ok])
-    for i in np.nonzero(~ok)[0]:
-        adj[i] = _adjugate_cofactor(b[i])
-    return adj, det
+    degenerate = weights / math.factorial(j) <= DEGENERACY_EPS
+    edges, gram = _edge_gram(pts)
+    gram[degenerate] = np.eye(j)
+    rows = weights[:, None, None] * np.linalg.solve(gram, edges)
+    rows[degenerate] = 0.0
+    return np.concatenate([-rows.sum(axis=1, keepdims=True), rows], axis=1), degenerate
 
 
 def element_contents(mesh: SimplexMesh) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .meshcore import (
     MeshValidationError,
     SimplexMesh,
-    _batch_content,
+    _element_weights,
     _index_violations,
     require_valid,
 )
@@ -52,13 +52,23 @@ _FACTORIALS = np.array([math.factorial(n) for n in range(_SERIES_TERMS + 8)], dt
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count: explicit argument, else DDSL_WORKERS, else 1."""
+    """Worker count: explicit argument, else DDSL_WORKERS, else 1.
+
+    The threads one call starts are capped further by ``_thread_count``.
+    """
     if workers is None:
         workers = os.environ.get("DDSL_WORKERS", "1")
     workers = int(workers)
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     return workers
+
+
+def _thread_count(workers: int, n_elements: int) -> int:
+    """Threads for one call: the worker count capped by the element count
+    and by ``os.cpu_count()``, so a huge DDSL_WORKERS starts no more
+    threads than there are CPUs."""
+    return min(workers, n_elements, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +208,11 @@ def _phases(pts, wavevectors, auxnode: bool) -> np.ndarray:
 
 def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     """Entry checks of the shared core, then the node coordinates per element
-    and each element's kernel weight: j! * content, or det(J) for the
-    auxiliary simplex (its distortion |det(J)| with the orientation sign;
-    a j!-scaled weight would overcount by j!).
+    and each element's kernel weight (``meshcore._element_weights``).
 
-    The index range is checked on every call, strict or not: a negative
-    index would wrap silently and a large one escape as an IndexError.
+    Index range and finiteness are checked on every call, strict or not: a
+    negative index would wrap silently, a large one escape as an
+    IndexError, and a non-finite value turn the whole raster into NaN.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
@@ -211,9 +220,13 @@ def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     if violations:
         raise MeshValidationError(violations)
     pts = mesh.element_points()
-    if auxnode:
-        return pts, np.linalg.det(np.swapaxes(pts, 1, 2))
-    return pts, math.factorial(mesh.degree) * _batch_content(pts)
+    if not np.all(np.isfinite(pts)):
+        violations.append("non-finite vertex coordinates")
+    if not np.all(np.isfinite(mesh.densities)):
+        violations.append("non-finite densities")
+    if violations:
+        raise MeshValidationError(violations)
+    return pts, _element_weights(pts, auxnode)
 
 
 def _forward_chunk(pts, weights, dens, wavevectors, auxnode: bool):
@@ -226,7 +239,7 @@ def _forward_chunk(pts, weights, dens, wavevectors, auxnode: bool):
 def _run_chunks(n_elements: int, chunk_fn, workers: int):
     """Call ``chunk_fn(lo, hi)`` on one contiguous element span per worker
     and add the partial results in span order."""
-    workers = min(workers, n_elements)
+    workers = _thread_count(workers, n_elements)
     if workers <= 1:
         return chunk_fn(0, n_elements)
     bounds = np.linspace(0, n_elements, workers + 1).astype(int)  # no empty span

@@ -156,6 +156,10 @@ def make_objective(problem: FitProblem):
 
     def objective(state, need_grad=True):
         mesh = problem.geometry(state)
+        if not np.all(np.isfinite(mesh.vertices)):
+            # the rasterizer rejects non-finite input; a diverged state gets
+            # the non-finite loss that ``fit`` stops on
+            return np.nan, (np.full(state.shape, np.nan) if need_grad else None)
         value, grads = 0.0, []
         for config, target in terms:
             diff = rasterize(mesh, config).values - target.values

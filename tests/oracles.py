@@ -13,14 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from simplexrast.gradients import _DS_AMP_MAX
-from simplexrast.meshcore import (
-    DEGENERACY_EPS,
-    DegenerateElementError,
-    _ADJUGATE_DET_FLOOR,
-    _adjugate_cofactor,
-    _batch_cayley_menger,
-    content,
-)
+from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError
 from simplexrast.nuft import _I_POW, _divided_diff_series, _lagrange_terms, eval_S
 from simplexrast.spectral import Raster, SpectralField
 
@@ -48,35 +41,60 @@ def forward_element(points, density, k) -> complex:
     pts = np.asarray(points, dtype=np.float64)
     kv = np.asarray(k, dtype=np.float64)
     j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
     s = eval_S(pts @ kv)
-    return complex(density * imaginary_power(j) * gamma * s)
+    return complex(density * imaginary_power(j) * cm_distortion(pts) * s)
 
 
 # ---------------------------------------------------------------------------
-# element geometry
+# element geometry: the Cayley-Menger route, independent of the library's
+# Gram-determinant weights
 
 def cayley_menger_matrix(points) -> np.ndarray:
     """Bordered squared-distance matrix of a point tuple, shape (j+2, j+2)."""
-    return _batch_cayley_menger(np.asarray(points, dtype=np.float64)[None])[0]
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    b = np.zeros((m + 1, m + 1))
+    b[0, 1:] = 1.0
+    b[1:, 0] = 1.0
+    for s in range(m):
+        for t in range(m):
+            b[s + 1, t + 1] = np.sum((pts[s] - pts[t]) ** 2)
+    return b
 
 
 def adjugate(matrix) -> np.ndarray:
-    """Adjugate via det * inverse, with a cofactor fallback near singularity."""
+    """Adjugate by cofactor expansion; also defined for singular matrices."""
     a = np.asarray(matrix, dtype=np.float64)
-    det = float(np.linalg.det(a))
-    if abs(det) > _ADJUGATE_DET_FLOOR:
-        try:
-            return det * np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            pass
-    return _adjugate_cofactor(a)
+    n = a.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    adj = np.empty_like(a)
+    rows = np.arange(n)
+    for p in range(n):
+        for q in range(n):
+            minor = a[np.ix_(rows != p, rows != q)]
+            adj[q, p] = (-1.0) ** (p + q) * np.linalg.det(minor)
+    return adj
+
+
+def cm_content(points) -> float:
+    """Content from the Cayley-Menger determinant; round-off below 0 clamps to 0."""
+    pts = np.asarray(points, dtype=np.float64)
+    j = pts.shape[0] - 1
+    det = np.linalg.det(cayley_menger_matrix(pts))
+    val = (-1.0) ** (j + 1) / (2.0 ** j * math.factorial(j) ** 2) * det
+    return math.sqrt(max(val, 0.0))
+
+
+def cm_distortion(points) -> float:
+    """``j! * content`` via Cayley-Menger."""
+    return math.factorial(np.shape(points)[0] - 1) * cm_content(points)
 
 
 def element_geometry(points) -> SimpleNamespace:
     """Measure data of one element: content, distortion, and the CM matrix."""
     pts = np.asarray(points, dtype=np.float64)
-    c = content(pts)
+    c = cm_content(pts)
     b = cayley_menger_matrix(pts)
     return SimpleNamespace(content=c, distortion=math.factorial(pts.shape[0] - 1) * c,
                            cayley_menger=b, cm_adjugate=adjugate(b))
@@ -95,7 +113,7 @@ def dgamma_dx(points, p: int, strict: bool = False) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
+    gamma = cm_distortion(pts)
     if gamma <= DEGENERACY_EPS * math.factorial(j):
         if strict:
             raise DegenerateElementError([f"element content {gamma / math.factorial(j):.3e}"])
@@ -153,7 +171,7 @@ def dF_dx(points, density, k, p: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     kv = np.asarray(k, dtype=np.float64)
     j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
+    gamma = cm_distortion(pts)
     sig = pts @ kv
     kernel, coef = _kernel_and_coef(sig, p)
     freq_scale = gamma * coef
@@ -172,7 +190,7 @@ def dF_dx_product(points, density, k, p: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     kv = np.asarray(k, dtype=np.float64)
     j = pts.shape[0] - 1
-    gamma = math.factorial(j) * content(pts)
+    gamma = cm_distortion(pts)
     sig = pts @ kv
     kernel, _ = _kernel_and_coef(sig, p)
     return density * imaginary_power(j) * (kernel * dgamma_dx(pts, p)

@@ -88,6 +88,16 @@ class TestRasterizeCommand:
             assert code == 2
             assert "out of range" in capsys.readouterr().err
 
+    def test_non_finite_coordinate_exit_2(self, tmp_path, capsys):
+        # json reads the overflowing literal 1e400 as inf
+        mesh = tmp_path / "huge.json"
+        mesh.write_text(json.dumps(UNIT_TRIANGLE).replace("1.0, 0.0]", "1e400, 0.0]", 1))
+        assert sr.load_mesh(mesh).vertices[1, 0] == np.inf
+        code = main(["rasterize", "--mesh", str(mesh), "--res", "8",
+                     "--out", str(tmp_path / "o.f32")])
+        assert code == 2
+        assert "non-finite vertex coordinates" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):

@@ -350,6 +350,20 @@ class TestBackwardAuxnode:
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
         assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
 
+    def test_singular_element_matches_finite_differences(self, rng):
+        # the first edge lies on a line through the origin: det J = 0 exactly
+        poly = np.array([[0.2, 0.2], [0.6, 0.6], [0.3, 0.75], [0.1, 0.5]])
+        boundary = sr.polygon_boundary_mesh(poly)
+        assert np.linalg.det(boundary.element_points()[0]) == 0.0
+        grid = sr.build_grid(2, 8)
+        cot = sr.random_spectral_cotangent(grid, rng)
+        ana = sr.backward_auxnode(boundary, grid, cot)
+        num = sr.numeric_backward(boundary, grid, cot, h=1e-6, mode="auxnode")
+        sv = max(np.abs(num.d_vertices).max(), 1e-10)
+        assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
+        sd = max(np.abs(num.d_densities).max(), 1e-10)
+        assert np.abs(ana.d_densities - num.d_densities).max() / sd <= 1e-5
+
 
 @pytest.mark.parametrize("bad", [-1, 7])
 def test_out_of_range_index_rejected(bad):
@@ -366,3 +380,27 @@ def test_out_of_range_index_rejected(bad):
                      lambda: sr.backward_auxnode(loop, grid, cot)):
             with pytest.raises(sr.MeshValidationError, match="out of range"):
                 call()
+
+
+@pytest.mark.parametrize("where", ["vertices", "densities"])
+def test_non_finite_rejected(where):
+    """Forward and backward, simplex and auxnode, strict or not: a non-finite
+    element coordinate or density raises instead of rasterizing to NaN."""
+    grid = sr.build_grid(2, 4)
+    cot = sr.SpectralField(grid, np.ones(grid.n_modes))
+    for bad in (np.nan, np.inf):
+        vertices = UNIT_TRIANGLE.copy()
+        densities = np.ones(3)
+        if where == "vertices":
+            vertices[2, 0] = bad
+        else:
+            densities[:] = bad
+        tri = sr.SimplexMesh(2, 2, vertices, [[0, 1, 2]], densities[:1])
+        loop = sr.SimplexMesh(2, 1, vertices, [[0, 1], [1, 2], [2, 0]], densities)
+        for strict in (False, True):
+            for call in (lambda: sr.forward_mesh(tri, grid, strict=strict),
+                         lambda: sr.backward_mesh(tri, grid, cot, strict=strict),
+                         lambda: sr.forward_auxnode(loop, grid, strict=strict),
+                         lambda: sr.backward_auxnode(loop, grid, cot)):
+                with pytest.raises(sr.MeshValidationError, match="non-finite"):
+                    call()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexrast as sr
+from simplexrast.meshcore import _element_weights, _weight_gradients
 import oracles
 from conftest import random_rotation
 
@@ -139,6 +140,32 @@ class TestGeometry:
         adj = oracles.adjugate(a)
         assert np.allclose(a @ adj, np.zeros((3, 3)), atol=1e-12)
         assert not np.allclose(adj, 0)
+
+
+@pytest.mark.parametrize("j, d, auxnode", [
+    (0, 2, False), (1, 2, False), (2, 2, False),
+    (0, 3, False), (1, 3, False), (2, 3, False), (3, 3, False),
+    (2, 2, True), (3, 3, True)])
+def test_weights_match_cayley_menger_oracle(j, d, auxnode):
+    """Element weights and their vertex gradients against the Cayley-Menger
+    oracle.  An auxiliary simplex's weight det J is the signed distortion of
+    (origin, x_1..x_j), and its slots are the oracle's slots 1..j."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 1, (60, j + 1 - auxnode, d))
+    full = np.concatenate([np.zeros((60, 1, d)), pts], axis=1) if auxnode else pts
+    keep = [oracles.cm_content(p) > 1e-3 for p in full]
+    pts, full = pts[keep], full[keep]
+    weights = _element_weights(pts, auxnode)
+    dweights, degenerate = _weight_gradients(pts, weights, auxnode)
+    assert not degenerate.any()
+    for e in range(len(pts)):
+        sign = np.sign(weights[e]) if auxnode else 1.0
+        gamma = oracles.cm_distortion(full[e])
+        assert abs(sign * weights[e] - gamma) <= 1e-10 * gamma
+        ref = np.array([sign * oracles.dgamma_dx(full[e], p + auxnode)
+                        for p in range(pts.shape[1])])
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(dweights[e] - ref).max() <= 1e-10 * scale
 
 
 class TestValidate:

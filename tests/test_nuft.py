@@ -295,3 +295,15 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("DDSL_WORKERS", "0")
     with pytest.raises(ValueError):
         sr.nuft.resolve_workers(None)
+
+
+def test_thread_count_clamped_to_cpus(monkeypatch):
+    """A huge DDSL_WORKERS starts no more threads than os.cpu_count(); checked
+    on the pure helper, so no thread is started."""
+    monkeypatch.setenv("DDSL_WORKERS", "100000")
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
+    workers = sr.nuft.resolve_workers(None)
+    assert sr.nuft._thread_count(workers, 10**6) == 4
+    assert sr.nuft._thread_count(workers, 3) == 3
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: None)
+    assert sr.nuft._thread_count(workers, 10**6) == 1
