@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .deform import PoseQuat, make_rig
 from .gradients import backward_mesh, numeric_backward
-from .meshcore import MeshValidationError, load_mesh, save_mesh
+from .meshcore import MeshValidationError, _nonfinite_violations, load_mesh, save_mesh
 from .nuft import resolve_workers
 from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
@@ -169,12 +169,22 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _finite_mesh(mesh, role: str):
+    """Reject a non-finite fit mesh as a validation error.  The library fit
+    would report it as a divergence; coordinates outside the unit box stay
+    allowed."""
+    violations = _nonfinite_violations(mesh.vertices, mesh.densities)
+    if violations:
+        raise MeshValidationError([f"{role} mesh: {v}" for v in violations])
+    return mesh
+
+
 def _load_fit_problem(path) -> tuple[FitProblem, dict]:
     with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
-    mesh = load_mesh(spec["mesh"])
+    mesh = _finite_mesh(load_mesh(spec["mesh"]), "start")
     if "target_mesh" in spec:
-        target = load_mesh(spec["target_mesh"])
+        target = _finite_mesh(load_mesh(spec["target_mesh"]), "target")
     elif "target_raster" in spec:
         target = load_raster(spec["target_raster"])
     else:

@@ -26,10 +26,11 @@ from .nuft import (
     _I_POW,
     _checked_elements,
     _divided_diff_series,
-    _eval_kernel,
-    _lagrange_terms,
-    _phases,
+    _gap_kernel,
+    _route_kernel,
     _run_chunks,
+    _tile_phases,
+    _tiles,
     forward_auxnode,
     forward_mesh,
     resolve_workers,
@@ -59,55 +60,40 @@ class MeshGradient:
 # ---------------------------------------------------------------------------
 # batched kernel derivatives (shared by the mesh-level backward passes)
 
-def _kernel_batch(sig):
+def _kernel_coefs(sig):
     """Kernel values plus derivative coefficients per node slot, both
-    stability-routed, for phase rows sig (..., n).
+    stability-routed, for node-major phase slices sig (n, ...).
 
-    The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p),
-    assembled for all slots at once from the inverse-gap matrix.
+    The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p):
+    each gap g_tl (t < l) adds u = (S_t + S_l) / g_tl to slot l and
+    subtracts it from slot t, reusing the kernel's own terms and gaps.
     """
-    n = sig.shape[-1]
-    lk = _lagrange_terms(sig, with_idiff=True)
-    with np.errstate(invalid="ignore", over="ignore"):
-        col_sum = lk.idiff.sum(axis=-2)  # sum_t 1/(s_t - s_p) over t != p
-        cross = np.einsum("...t,...tp->...p", lk.terms, lk.idiff)
-        coefs = -1j * lk.terms + cross + lk.terms * col_sum
+    n = sig.shape[0]
+    lk, gaps = _gap_kernel(sig)
+    terms = np.moveaxis(lk.terms, -1, 0)  # node-major, as sig
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coefs = -1j * terms
+        for q, (t, l) in enumerate(zip(*np.triu_indices(n, 1))):
+            u = terms[t] + terms[l]
+            u *= 1.0 / gaps[q]
+            coefs[l] += u
+            coefs[t] -= u
     # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
     gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
     risky = lk.unsafe | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
     if risky.any():
-        bad = sig[risky]
+        bad = sig[:, risky].T
         # one table build over all slots: row p gets its node repeated
         rep = np.broadcast_to(bad[:, None, :], (bad.shape[0], n, n))
         nodes = np.concatenate([rep, bad[:, :, None]], axis=2)
-        coefs[risky] = _divided_diff_series(nodes.reshape(-1, n + 1)).reshape(bad.shape[0], n)
-    return _eval_kernel(sig, lk), coefs
+        coefs[:, risky] = _divided_diff_series(nodes.reshape(-1, n + 1)).reshape(-1, n).T
+    return _route_kernel(sig, lk), coefs
 
 
-def _backward_chunk(pts, elements, dens, weights, dweights, degenerate,
-                    grid, cot, n_vertices, auxnode: bool, d_densities) -> np.ndarray:
-    """Vertex gradient of one element span; its density rows go to ``d_densities``."""
-    wavevectors = grid.wavevectors
-    j = pts.shape[1] - 1 + auxnode
-    s, coefs = _kernel_batch(_phases(pts, wavevectors, auxnode))
-    coefs = coefs[..., int(auxnode):]  # the auxiliary origin node is fixed
-
-    # fold cotangent, densities, and weights into one per-(element, mode) factor
-    w = grid.fold_weights
-    ghat = np.einsum("ec,m,mc->em", dens, w, np.conj(cot))
-    ij = _I_POW[j % 4]
-    a_e = np.einsum("em,em->e", ghat, s)
-    b_epd = np.einsum("em,emp,md->epd", ghat, coefs, wavevectors)
-    slot_grad = (ij * (a_e[:, None, None] * dweights
-                       + weights[:, None, None] * b_epd)).real
-    slot_grad[degenerate] = 0.0
-
-    d = pts.shape[2]
-    d_vertices = np.zeros((n_vertices, d))
-    np.add.at(d_vertices, elements.reshape(-1), slot_grad.reshape(-1, d))
-    d_densities[:] = (ij * weights[:, None]
-                      * np.einsum("em,m,mc->ec", s, w, np.conj(cot))).real
-    return d_vertices
+def _kernel_batch(sig):
+    """``_kernel_coefs`` for phase rows (..., n); coefficients keep that layout."""
+    s, coefs = _kernel_coefs(np.moveaxis(sig, -1, 0))
+    return s, np.moveaxis(coefs, 0, -1)
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
@@ -122,18 +108,42 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     if degenerate.any() and strict:
         raise DegenerateElementError(
             [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
-    d_densities = np.zeros_like(mesh.densities)
-    d_vertices = _run_chunks(
-        mesh.n_elements,
-        lambda lo, hi: _backward_chunk(
-            pts[lo:hi], mesh.elements[lo:hi], mesh.densities[lo:hi], weights[lo:hi],
-            dweights[lo:hi], degenerate[lo:hi], grid, cotangent.coeffs, mesh.n_vertices,
-            auxnode, d_densities[lo:hi]),
-        resolve_workers(workers))
+    n_e, slots, d = pts.shape
+    wavevectors, dens = grid.wavevectors, mesh.densities
+    # cotangent and fold weights as one per-(mode, channel) factor
+    wcot = grid.fold_weights[:, None] * np.conj(cotangent.coeffs)
+    plan = _tiles(n_e, grid.n_modes)
+
+    def run(tiles):
+        """This worker's sums over its modes: a_e = sum ghat S, the kernel
+        part b_epd = sum ghat coef_p k_d (auxiliary origin slot dropped, it
+        is fixed) and the density rows sum S w conj(G)."""
+        a = np.zeros(n_e, dtype=np.complex128)
+        b = np.zeros((slots, n_e, d), dtype=np.complex128)
+        dd = np.zeros((n_e, mesh.channels), dtype=np.complex128)
+        for elems, modes, sig in _tile_phases(pts, wavevectors, auxnode, plan, tiles):
+            s, coefs = _kernel_coefs(sig)
+            ghat = dens[elems] @ wcot[modes].T
+            a[elems] += np.einsum("em,em->e", ghat, s)
+            b[:, elems] += (ghat * coefs[int(auxnode):]) @ wavevectors[modes]
+            dd[elems] += s @ wcot[modes]
+        return a, b, dd
+
+    parts = _run_chunks(len(plan[1]) - 1, run, resolve_workers(workers))
+    a, b, dd = parts[0]
+    for part in parts[1:]:  # worker order
+        a, b, dd = a + part[0], b + part[1], dd + part[2]
+
+    ij = _I_POW[(slots - 1 + auxnode) % 4]
+    slot_grad = (ij * (a[:, None, None] * dweights
+                       + weights[:, None, None] * b.transpose(1, 0, 2))).real
+    slot_grad[degenerate] = 0.0
+    d_vertices = np.zeros((mesh.n_vertices, d))
+    np.add.at(d_vertices, mesh.elements.reshape(-1), slot_grad.reshape(-1, d))
     if degenerate.any():
         warnings.warn(f"{int(degenerate.sum())} degenerate elements received zero "
                       "vertex gradient", RuntimeWarning, stacklevel=3)
-    return MeshGradient(d_vertices, d_densities)
+    return MeshGradient(d_vertices, (ij * weights[:, None] * dd).real)
 
 
 def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,

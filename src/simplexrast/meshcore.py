@@ -55,13 +55,21 @@ class SimplexMesh:
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
-        self.elements = np.asarray(self.elements, dtype=np.int64)
+        if self.vertices.size == 0:
+            self.vertices = self.vertices.reshape(0, self.dim)
+        self.elements = _node_indices(self.elements)
         if self.elements.ndim == 1:
             self.elements = self.elements.reshape(-1, self.degree + 1)
         self.densities = np.asarray(self.densities, dtype=np.float64)
         if self.densities.ndim == 1:
             self.densities = self.densities[:, None]
-        if self.vertices.shape[1] != self.dim and self.vertices.size > 0:
+        for name, array in (("vertices", self.vertices), ("elements", self.elements),
+                            ("densities", self.densities)):
+            if array.ndim != 2:
+                raise ValueError(f"{name} must be a 1-D or 2-D array, got {array.ndim} dimensions")
+        if self.densities.shape[1] == 0:
+            raise ValueError("densities have no channels")
+        if self.vertices.shape[1] != self.dim:
             raise ValueError(
                 f"vertices have {self.vertices.shape[1]} coordinates, expected dim={self.dim}"
             )
@@ -95,6 +103,41 @@ class SimplexMesh:
                            self.elements, self.densities)
 
 
+def _node_indices(elements) -> np.ndarray:
+    """Element connectivity as int64; a non-integral index is an error, not
+    truncated to the vertex below it."""
+    raw = np.asarray(elements)
+    if raw.dtype.kind in "iu":
+        return np.asarray(raw, dtype=np.int64)
+    if raw.dtype.kind != "f":
+        raise ValueError(f"element node indices must be integers, got dtype {raw.dtype}")
+    values = raw.astype(np.float64)
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise MeshValidationError(["non-integral element node indices"])
+    return values.astype(np.int64)
+
+
+def _structure_violations(mesh: SimplexMesh) -> list[str]:
+    """Unsupported dimension or degree, and a degree above the dimension."""
+    v = []
+    if mesh.dim not in (2, 3):
+        v.append(f"dimension {mesh.dim} unsupported (expected 2 or 3)")
+    if not 0 <= mesh.degree <= 3:
+        v.append(f"degree {mesh.degree} unsupported (expected 0..3)")
+    if mesh.degree > mesh.dim:
+        v.append(f"degree {mesh.degree} exceeds dimension {mesh.dim}")
+    return v
+
+
+def _nonfinite_violations(vertices: np.ndarray, densities: np.ndarray) -> list[str]:
+    v = []
+    if not np.all(np.isfinite(vertices)):
+        v.append("non-finite vertex coordinates")
+    if not np.all(np.isfinite(densities)):
+        v.append("non-finite densities")
+    return v
+
+
 def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
     """Collect invariant violations; empty list means the mesh is usable.
 
@@ -104,18 +147,8 @@ def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
     ``strict=True`` every element of degree >= 1 must have content above
     ``DEGENERACY_EPS``.
     """
-    v: list[str] = []
-    if mesh.dim not in (2, 3):
-        v.append(f"dimension {mesh.dim} unsupported (expected 2 or 3)")
-    if not 0 <= mesh.degree <= 3:
-        v.append(f"degree {mesh.degree} unsupported (expected 0..3)")
-    if mesh.degree > mesh.dim:
-        v.append(f"degree {mesh.degree} exceeds dimension {mesh.dim}")
+    v = _structure_violations(mesh) + _nonfinite_violations(mesh.vertices, mesh.densities)
     finite = bool(np.all(np.isfinite(mesh.vertices)))
-    if not finite:
-        v.append("non-finite vertex coordinates")
-    if not np.all(np.isfinite(mesh.densities)):
-        v.append("non-finite densities")
     # The unit box is half-open in principle, but a coordinate exactly at 1
     # aliases to 0 without harm, so only strictly-outside values are flagged.
     if mesh.vertices.size and finite:
@@ -268,15 +301,32 @@ def _reject_constant(name: str):
 
 
 def mesh_from_dict(data: dict) -> SimplexMesh:
+    if not isinstance(data, dict):
+        raise ValueError(f"mesh JSON must be an object, got {type(data).__name__}")
     try:
-        dim = int(data["dim"])
-        degree = int(data["degree"])
-        vertices = np.asarray(data["vertices"], dtype=np.float64)
-        elements = np.asarray(data["elements"], dtype=np.int64)
-        densities = np.asarray(data["densities"], dtype=np.float64)
+        for key in ("vertices", "elements", "densities"):
+            if _holds_bool(data[key]):  # numpy would read true as 1
+                raise ValueError(f"mesh JSON {key!r} holds a boolean where numbers belong")
+        return SimplexMesh(_json_int(data["dim"], "dim"), _json_int(data["degree"], "degree"),
+                           data["vertices"], data["elements"], data["densities"])
     except KeyError as exc:
         raise ValueError(f"mesh JSON missing key {exc}") from exc
-    return SimplexMesh(dim, degree, vertices, elements, densities)
+    except (TypeError, OverflowError) as exc:  # e.g. an object or 1e999 where numbers belong
+        raise ValueError(f"mesh JSON has a value of the wrong type: {exc}") from exc
+
+
+def _json_int(value, name: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"mesh JSON {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def mesh_to_dict(mesh: SimplexMesh) -> dict:

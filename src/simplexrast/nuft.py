@@ -28,6 +28,8 @@ from .meshcore import (
     SimplexMesh,
     _element_weights,
     _index_violations,
+    _nonfinite_violations,
+    _structure_violations,
     require_valid,
 )
 from .spectral import SpectralField, SpectralGrid
@@ -45,6 +47,11 @@ _LAGRANGE_AMP_MAX = 1e4
 # series; the table recurrence then never divides by anything smaller.
 _SERIES_SPAN = 0.25
 _SERIES_TERMS = 12
+
+# Element x mode pairs in one kernel tile.  A tile's temporaries take a
+# few hundred bytes per pair (tetrahedra), so this caps the kernel's memory
+# per worker at a few MiB whatever the size of the mesh x grid product.
+_TILE_PAIRS = 1 << 15
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)      # exact i**n cycle
 _NEG_I_POW = np.array([1, -1j, -1, 1j], dtype=np.complex128)  # exact (-i)**n cycle
@@ -64,11 +71,11 @@ def resolve_workers(workers=None) -> int:
     return workers
 
 
-def _thread_count(workers: int, n_elements: int) -> int:
-    """Threads for one call: the worker count capped by the element count
+def _thread_count(workers: int, n_tiles: int) -> int:
+    """Threads for one call: the worker count capped by the mode-tile count
     and by ``os.cpu_count()``, so a huge DDSL_WORKERS starts no more
     threads than there are CPUs."""
-    return min(workers, n_elements, os.cpu_count() or 1)
+    return min(workers, n_tiles, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,49 +140,53 @@ class LagrangeKernel(NamedTuple):
     """Lagrange-form kernel pieces for a batch of phase rows."""
 
     s: np.ndarray         # summed kernel
-    terms: np.ndarray     # individual terms S_t
+    terms: np.ndarray     # individual terms S_t, node axis last
     min_gap: np.ndarray   # smallest pairwise phase gap per row
     amp: np.ndarray       # largest term amplification per row
     unsafe: np.ndarray    # rows that must use the stable path
-    idiff: np.ndarray | None  # 1/(sigma_t - sigma_l), zero diagonal
 
 
-def _lagrange_terms(sig: np.ndarray, with_idiff: bool = False) -> LagrangeKernel:
-    n = sig.shape[-1]
-    ex = np.exp(-1j * sig)
-    diff = sig[..., :, None] - sig[..., None, :]
-    eye = np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        agaps = np.abs(diff)
-        agaps[..., eye] = np.inf
-        min_gap = agaps.min(axis=(-2, -1))
-        idiff = None
-        if with_idiff:
-            idiff = 1.0 / diff
-            idiff[..., eye] = 0.0
-            idiff = np.where(np.isfinite(idiff), idiff, 0.0)
-        diff[..., eye] = 1.0
-        prod = diff.prod(axis=-1)
-        amp = 1.0 / np.maximum(np.abs(prod).min(axis=-1), 1e-300)
-        terms = ex / prod
-        s = terms.sum(axis=-1)
-    unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
-    return LagrangeKernel(s, terms, min_gap, amp, unsafe, idiff)
+def _gap_kernel(sig: np.ndarray):
+    """Lagrange pieces of node-major phase slices ``sig`` (n, ...), built from
+    the n(n-1)/2 gaps ``g_tl = sigma_t - sigma_l`` (t < l), and the gaps.
 
-
-def _eval_kernel(sig: np.ndarray, lk: LagrangeKernel | None = None) -> np.ndarray:
-    """Kernel S for phase rows (..., n), routed per-row for stability.
-
-    ``lk`` passes in the rows' Lagrange pieces when they are already built.
+    The denominator of node t multiplies its gaps in ``l`` order, with the
+    sign of ``sigma_t - sigma_l``, as the full difference matrix would.
     """
-    if sig.shape[-1] == 1:
-        return np.exp(-1j * sig[..., 0])
-    if lk is None:
-        lk = _lagrange_terms(sig)
+    n = sig.shape[0]
+    pair = {}
+    gaps = np.empty((n * (n - 1) // 2,) + sig.shape[1:])
+    for q, (t, l) in enumerate(zip(*np.triu_indices(n, 1))):
+        pair[t, l] = pair[l, t] = q
+        np.subtract(sig[t], sig[l], out=gaps[q])
+    prod = np.ones(sig.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(n):
+            for l in range(n):
+                if l != t:
+                    prod[t] *= gaps[pair[t, l]]
+            if t % 2:  # one factor sigma_t - sigma_l = -g_lt per l < t
+                np.negative(prod[t], out=prod[t])
+        min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
+        amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
+        terms = np.exp(-1j * sig) / prod
+        s = terms.sum(axis=0)
+    unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
+    return LagrangeKernel(s, np.moveaxis(terms, 0, -1), min_gap, amp, unsafe), gaps
+
+
+def _lagrange_terms(sig: np.ndarray) -> LagrangeKernel:
+    """Lagrange pieces of phase rows (..., n)."""
+    return _gap_kernel(np.moveaxis(sig, -1, 0))[0]
+
+
+def _route_kernel(sig: np.ndarray, lk: LagrangeKernel) -> np.ndarray:
+    """Kernel S of node-major phase slices: the Lagrange sum, with unsafe
+    rows taken from the confluent series."""
     s = lk.s
     if lk.unsafe.any():
         s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
-        s[lk.unsafe] = _divided_diff_series(sig[lk.unsafe])
+        s[lk.unsafe] = _divided_diff_series(sig[:, lk.unsafe].T)
     return s
 
 
@@ -185,10 +196,10 @@ def eval_S(sigmas) -> complex:
     Total function; repeated or nearly-equal phases take the confluent
     limit, e.g. all-zero phases give (-i)**j / j!.
     """
-    sig = np.asarray(sigmas, dtype=np.float64).reshape(1, -1)
+    sig = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
     if not np.all(np.isfinite(sig)):
         raise ValueError("phases must be finite")
-    return complex(_eval_kernel(sig)[0])
+    return complex(_route_kernel(sig, _gap_kernel(sig)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +210,10 @@ def eval_S(sigmas) -> complex:
 # and the signed weight det(J) replaces j! * content.
 
 def _phases(pts, wavevectors, auxnode: bool) -> np.ndarray:
-    """Phase rows k . x_t, shape (n_e, n_modes, nodes)."""
-    sig = np.einsum("end,md->emn", pts, wavevectors)
+    """Node-major phase slices k . x_t, shape (nodes, n_e, n_modes)."""
+    sig = np.matmul(pts.transpose(1, 0, 2), wavevectors.T)
     if auxnode:
-        sig = np.concatenate([np.zeros(sig.shape[:-1] + (1,)), sig], axis=-1)
+        sig = np.concatenate([np.zeros((1,) + sig.shape[1:]), sig])
     return sig
 
 
@@ -210,51 +221,77 @@ def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     """Entry checks of the shared core, then the node coordinates per element
     and each element's kernel weight (``meshcore._element_weights``).
 
-    Index range and finiteness are checked on every call, strict or not: a
-    negative index would wrap silently, a large one escape as an
+    Dimension and degree, index range and finiteness are checked on every
+    call, strict or not: a degree above the dimension would rasterize to
+    zeros, a negative index wrap silently, a large one escape as an
     IndexError, and a non-finite value turn the whole raster into NaN.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
-    _, violations = _index_violations(mesh)
+    violations = _structure_violations(mesh) + _index_violations(mesh)[1]
     if violations:
         raise MeshValidationError(violations)
     pts = mesh.element_points()
-    if not np.all(np.isfinite(pts)):
-        violations.append("non-finite vertex coordinates")
-    if not np.all(np.isfinite(mesh.densities)):
-        violations.append("non-finite densities")
+    violations = _nonfinite_violations(pts, mesh.densities)
     if violations:
         raise MeshValidationError(violations)
     return pts, _element_weights(pts, auxnode)
 
 
-def _forward_chunk(pts, weights, dens, wavevectors, auxnode: bool):
-    j = pts.shape[1] - 1 + auxnode
-    s = _eval_kernel(_phases(pts, wavevectors, auxnode))
-    weighted = _I_POW[j % 4] * weights[:, None] * s
-    return np.einsum("em,ec->mc", weighted, dens)
+def _tiles(n_elements: int, n_modes: int):
+    """Tile plan: element-span and mode-span bounds.
+
+    A mode tile holds at most ``_TILE_PAIRS`` element x mode pairs of every
+    element block; the elements are split into blocks only when they alone
+    exceed the budget.  The plan depends on the sizes alone, never on the
+    worker count.
+    """
+    blocks = max(1, -(-n_elements // _TILE_PAIRS))
+    e_bounds = np.arange(blocks + 1) * n_elements // blocks
+    per_tile = _TILE_PAIRS // max(1, -(-n_elements // blocks))
+    tiles = min(n_modes, max(1, -(-n_modes // per_tile)))
+    return e_bounds, np.arange(tiles + 1) * n_modes // tiles
 
 
-def _run_chunks(n_elements: int, chunk_fn, workers: int):
-    """Call ``chunk_fn(lo, hi)`` on one contiguous element span per worker
-    and add the partial results in span order."""
-    workers = _thread_count(workers, n_elements)
-    if workers <= 1:
-        return chunk_fn(0, n_elements)
-    bounds = np.linspace(0, n_elements, workers + 1).astype(int)  # no empty span
+def _tile_phases(pts, wavevectors, auxnode: bool, plan, tiles):
+    """Per element block of each listed mode tile, in order: the element
+    span, the mode span and the node-major phase slices."""
+    e_bounds, m_bounds = plan
+    for t in tiles:
+        modes = slice(m_bounds[t], m_bounds[t + 1])
+        for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
+            yield slice(e0, e1), modes, _phases(pts[e0:e1], wavevectors[modes], auxnode)
+
+
+def _run_chunks(n_tiles: int, worker_fn, workers: int) -> list:
+    """Hand the mode tiles to the workers and return their results in
+    worker order.
+
+    Worker w gets tiles w, w + W, w + 2W, ... and runs them in order.  The
+    assignment is static, so a fixed worker count gives the same result on
+    every run.
+    """
+    workers = _thread_count(workers, n_tiles)
+    shares = [range(w, n_tiles, workers) for w in range(workers)]
+    if workers == 1:
+        return [worker_fn(shares[0])]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk_fn, bounds[:-1], bounds[1:]))
-    return sum(parts[1:], parts[0])
+        return list(pool.map(worker_fn, shares))
 
 
 def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:
     pts, weights = _checked_elements(mesh, grid, auxnode)
-    coeffs = _run_chunks(
-        mesh.n_elements,
-        lambda lo, hi: _forward_chunk(pts[lo:hi], weights[lo:hi], mesh.densities[lo:hi],
-                                      grid.wavevectors, auxnode),
-        resolve_workers(workers))
+    # i**j, the weight and the densities as one factor per (element, channel)
+    factor = _I_POW[(pts.shape[1] - 1 + auxnode) % 4] * weights[:, None] * mesh.densities
+    plan = _tiles(mesh.n_elements, grid.n_modes)
+    coeffs = np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128)
+
+    def run(tiles):  # each mode tile writes only its own rows of coeffs
+        for elems, modes, sig in _tile_phases(pts, grid.wavevectors, auxnode, plan, tiles):
+            s = _route_kernel(sig, _gap_kernel(sig)[0])
+            coeffs[modes] += s.T @ factor[elems]
+
+    _run_chunks(len(plan[1]) - 1, run, resolve_workers(workers))
     return SpectralField(grid, coeffs)
 
 

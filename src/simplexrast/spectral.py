@@ -60,8 +60,8 @@ def build_grid(dim: int, resolution: int) -> SpectralGrid:
     """Half-spectrum grid with R^(d-1) * (floor(R/2)+1) modes."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    if dim not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dim}")
     r = resolution
     # index q along a full axis carries frequency q, folded to (-(R-1)//2 .. R//2]
     full_axis = np.array([q if q <= r // 2 else q - r for q in range(r)], dtype=np.int64)

@@ -1,8 +1,12 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplexrast as sr
 from simplexrast.cli import (
@@ -97,6 +101,85 @@ class TestRasterizeCommand:
                      "--out", str(tmp_path / "o.f32")])
         assert code == 2
         assert "non-finite vertex coordinates" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("change,code", [
+        ({"elements": [[0.5, 1, 2]]}, 2),                          # was cast to index 0
+        ({"degree": 5, "elements": [[0, 1, 2, 0, 1, 2]]}, 2),      # was an all-zero raster
+        ({"densities": [[[1.0]]]}, 1),                             # was an einsum error
+        ({"degree": 0, "vertices": [], "elements": [[0]]}, 2),     # was a point at the origin
+        ({"elements": [[True, False, True]]}, 1),                  # was read as [1, 0, 1]
+        ({"elements": [[0, True, 2]]}, 1),
+        ({"vertices": [[0.1, 0.1], [True, 0.1], [0.1, 0.9]]}, 1),
+    ])
+    def test_structural_errors(self, tmp_path, capsys, change, code):
+        mesh = write_json(tmp_path / "bad.json", dict(UNIT_TRIANGLE, **change))
+        assert main(["rasterize", "--mesh", mesh, "--res", "8",
+                     "--out", str(tmp_path / "o.f32")]) == code
+        assert "error" in capsys.readouterr().err
+
+    def test_top_level_array_exit_1(self, tmp_path, capsys):
+        mesh = write_json(tmp_path / "list.json", [1, 2, 3])
+        assert main(["rasterize", "--mesh", mesh, "--res", "8",
+                     "--out", str(tmp_path / "o.f32")]) == 1
+        assert "must be an object" in capsys.readouterr().err
+
+
+VALID_MESH = {"dim": 2, "degree": 2, "vertices": [[0.1, 0.1], [0.9, 0.1], [0.1, 0.9]],
+              "elements": [[0, 1, 2]], "densities": [1.0]}
+# values that no key of a mesh accepts
+WRONG_KIND = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def _array_of_shape(draw, key):
+    """A nested list of a random shape that is not a valid shape for ``key``."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=4)))
+    values = np.asarray(draw(st.lists(st.integers(0, 2) if key == "elements"
+                                      else st.floats(0.0, 1.0),
+                                      min_size=1, max_size=1)) * max(1, int(np.prod(shape))))
+    nested = values[:int(np.prod(shape))].reshape(shape).tolist()
+    actual = np.asarray(nested).shape
+    valid = {"vertices": len(actual) == 2 and actual[0] >= 3 and actual[1] == 2,
+             "elements": actual in ((1, 3), (3,)),
+             "densities": actual == (1,) or (len(actual) == 2 and actual[0] == 1 and actual[1] > 0)}
+    if valid[key]:
+        nested = [nested, nested]  # two copies: a row count or a rank that does not fit
+    return nested
+
+
+def _malformed_meshes():
+    keys = st.sampled_from(sorted(VALID_MESH))
+    non_integral = st.floats(-5, 5).filter(lambda x: not x.is_integer())
+    return st.one_of(
+        st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=3),
+                  st.none()),                                    # not an object
+        keys.map(lambda k: {q: v for q, v in VALID_MESH.items() if q != k}),  # missing key
+        st.tuples(keys, WRONG_KIND).map(lambda kv: dict(VALID_MESH, **{kv[0]: kv[1]})),
+        st.tuples(st.integers(0, 2), non_integral | st.booleans()).map(
+            lambda iv: dict(VALID_MESH, elements=[[iv[1] if i == iv[0] else i for i in range(3)]])),
+        st.lists(st.booleans(), min_size=3, max_size=3).map(
+            lambda b: dict(VALID_MESH, elements=[b])),
+        st.sampled_from([-1, 3, 4, 5, 6]).map(      # degree unsupported or above dim
+            lambda d: dict(VALID_MESH, degree=d, elements=[[i % 3 for i in range(d + 1)]])),
+        st.sampled_from([0, 1, 4, 5]).map(          # dimension unsupported
+            lambda d: dict(VALID_MESH, dim=d, vertices=[[0.5] * d] * 3)),
+        st.sampled_from(["vertices", "elements", "densities"]).flatmap(
+            lambda k: _array_of_shape(k).map(lambda a: dict(VALID_MESH, **{k: a}))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_meshes())
+def test_malformed_mesh_never_exit_0(payload):
+    """Any malformed mesh document gives exit 1 or 2 from the CLI: never a
+    raster, never an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh = write_json(Path(tmp) / "mesh.json", payload)
+        code = main(["rasterize", "--mesh", mesh, "--res", "4",
+                     "--out", str(Path(tmp) / "o.f32")])
+    assert code in (1, 2)
 
 
 class TestGradcheckCommand:
@@ -196,6 +279,16 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "fit diverged: non-finite loss" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["init.json", "target.json"])
+    def test_non_finite_mesh_exit_2(self, tmp_path, capsys, which):
+        self.make_problem(tmp_path, (0.05, 0.0))
+        path = tmp_path / which
+        path.write_text(path.read_text().replace("0.7", "1e400", 1))  # read as inf
+        code = main(["fit", "--problem", str(tmp_path / "problem.json"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "non-finite vertex coordinates" in capsys.readouterr().err
 
     def test_missing_target_exit_1(self, tmp_path):
         problem = {"variable": "vertices", "loss": "l2",

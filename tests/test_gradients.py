@@ -251,6 +251,27 @@ class TestBackwardMesh:
             scale = max(np.abs(g1.d_densities).max(), 1.0)
             assert np.abs(g4.d_densities - g1.d_densities).max() <= 1e-12 * scale
 
+    def test_workers_agree_to_round_off(self, rng, monkeypatch):
+        """Backward sums per worker and adds the workers in order, so the
+        worker count moves results only by round-off (1e-12 relative),
+        one-element meshes and tetrahedra included.  A small tile budget
+        gives every case many tiles."""
+        monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 512)
+        grid2, grid3 = sr.build_grid(2, 32), sr.build_grid(3, 8)
+        cases = [(sr.backward_mesh, sr.random_mesh(2, 2, 11, rng), grid2),
+                 (sr.backward_mesh, sr.random_mesh(3, 3, 9, rng), grid3),
+                 (sr.backward_mesh, sr.random_mesh(2, 2, 3, rng, n_elements=1), grid2),
+                 (sr.backward_auxnode,
+                  sr.polygon_boundary_mesh(sr.random_convex_polygon(11, rng)), grid2)]
+        for backward, mesh, grid in cases:
+            assert len(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1]) > 2
+            cot = sr.random_spectral_cotangent(grid, rng)
+            g1 = backward(mesh, grid, cot, workers=1)
+            for workers in (2, 3):
+                g = backward(mesh, grid, cot, workers=workers)
+                for a, b in ((g.d_vertices, g1.d_vertices), (g.d_densities, g1.d_densities)):
+                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
     def test_per_mode_coefficients_match_oracle(self):
         """The batched backward read out per mode against the product-rule
         oracle, on the 1000 seeded (element, wavevector, slot) pairs of

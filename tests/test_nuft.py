@@ -187,6 +187,44 @@ class TestForwardMesh:
             f4 = forward(mesh, grid, workers=4).coeffs
             assert np.abs(f4 - f1).max() <= 1e-12 * max(1.0, np.abs(f1).max())
 
+    def test_forward_bit_identical_across_workers(self, rng, monkeypatch):
+        """Each mode tile writes only its own rows, so the worker count
+        cannot change a single bit, one-element meshes included.  A single
+        tetrahedron at R=64 has five tiles at the default budget; the other
+        cases use a small budget, so that they have many tiles too."""
+        tet = sr.SimplexMesh(3, 3, [[0.1, 0.2, 0.1], [0.8, 0.3, 0.2], [0.3, 0.9, 0.3],
+                                    [0.4, 0.4, 0.8]], [[0, 1, 2, 3]], [1.0])
+        cases = [(sr.forward_mesh, tet, sr.build_grid(3, 64), None)]
+        grid2, grid3 = sr.build_grid(2, 32), sr.build_grid(3, 8)
+        cases += [(sr.forward_mesh, sr.random_mesh(2, 2, 17, rng), grid2, 512),
+                  (sr.forward_mesh, sr.random_mesh(3, 3, 9, rng), grid3, 512),
+                  (sr.forward_mesh, sr.SimplexMesh(2, 2, UNIT_TRIANGLE, [[0, 1, 2]], [1.0]),
+                   grid2, 512),
+                  (sr.forward_auxnode,
+                   sr.polygon_boundary_mesh(sr.random_convex_polygon(17, rng)), grid2, 512)]
+        for forward, mesh, grid, budget in cases:
+            if budget:
+                monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", budget)
+            assert len(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1]) > 2
+            f1 = forward(mesh, grid, workers=1).coeffs
+            for workers in (2, 3):
+                assert np.array_equal(forward(mesh, grid, workers=workers).coeffs, f1)
+
+    def test_split_element_blocks_match(self, rng, monkeypatch):
+        """A budget below the element count splits every mode tile into
+        element blocks; the result is the same up to round-off, and still
+        bit-identical across worker counts."""
+        grid = sr.build_grid(2, 8)
+        mesh = sr.random_mesh(2, 2, 13, rng)
+        mesh.densities = rng.random((mesh.n_elements, 2))
+        whole = sr.forward_mesh(mesh, grid).coeffs
+        monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 5)
+        e_bounds, _ = sr.nuft._tiles(mesh.n_elements, grid.n_modes)
+        assert len(e_bounds) > 2
+        split = sr.forward_mesh(mesh, grid, workers=1).coeffs
+        assert np.abs(split - whole).max() <= 1e-13 * np.abs(whole).max()
+        assert np.array_equal(sr.forward_mesh(mesh, grid, workers=2).coeffs, split)
+
     def test_complexity_contract_phase_count(self, rng):
         # forward evaluates (j+1) * n_e * n_modes phases: shape check on sigma
         mesh = sr.random_mesh(2, 2, 6, rng)
@@ -295,6 +333,27 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("DDSL_WORKERS", "0")
     with pytest.raises(ValueError):
         sr.nuft.resolve_workers(None)
+
+
+@pytest.mark.parametrize("n_elements,n_modes,n_tiles", [
+    (1, 544, 1), (1, 17408, 1), (1, 135168, 5), (1, 3, 1), (7, 40, 1), (400, 2112, 27),
+    (48, 17408, 26), (32767, 5, 5), (40000, 5, 5), (100003, 7, 7), (0, 40, 1)])
+def test_tile_plan(n_elements, n_modes, n_tiles):
+    """Pure planner: tiles fit the pair budget, the mode spans cover every
+    mode exactly once and the element blocks every element.  A one-element
+    mesh gets several mode tiles once it has more modes than the budget
+    (one tetrahedron at R=64).  Starts no thread."""
+    e_bounds, m_bounds = sr.nuft._tiles(n_elements, n_modes)
+    assert len(m_bounds) - 1 == n_tiles
+    assert e_bounds[0] == 0 and e_bounds[-1] == n_elements
+    assert m_bounds[0] == 0 and m_bounds[-1] == n_modes
+    assert np.all(np.diff(m_bounds) >= 1)
+    assert np.all(np.diff(e_bounds) >= (1 if n_elements else 0))
+    assert np.diff(e_bounds).max() * np.diff(m_bounds).max() <= sr.nuft._TILE_PAIRS
+    covered = np.zeros(n_modes, dtype=int)
+    for lo, hi in zip(m_bounds[:-1], m_bounds[1:]):
+        covered[lo:hi] += 1
+    assert np.all(covered == 1)
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):
