@@ -13,7 +13,6 @@ from .deform import (
     PoseQuat,
     inverse_square_weights,
     lbs_apply,
-    lbs_jacobian,
     lbs_pullback,
     make_rig,
     quat_apply,
@@ -31,18 +30,15 @@ from .meshcore import (
     MeshValidationError,
     SimplexMesh,
     content,
-    distortion_factor,
     element_contents,
     load_mesh,
     save_mesh,
-    signed_distortion,
     total_mass,
     validate,
 )
 from .nuft import (
     EPS_CONFLUENT,
     boundary_closure_defect,
-    eval_S,
     forward_auxnode,
     forward_mesh,
 )
@@ -54,20 +50,18 @@ from .optimizer import (
     TrajectoryPoint,
     fit,
     iou,
+    loss_mres,
     make_objective,
 )
 from .pipeline import (
     RasterizeConfig,
-    ensure_ccw,
     finite_difference_gradient,
     interior_angles,
-    loss_mres,
     loss_smooth,
     polygon_boundary_mesh,
     polygon_fan_mesh,
     polygon_signed_area,
     polygon_subdivide,
-    raster_loss,
     rasterize,
     rasterize_backward,
     rasterize_polygon,
@@ -77,7 +71,6 @@ from .sampling import (
     random_mesh,
     random_raster_cotangent,
     random_simple_polygon,
-    random_spectral_cotangent,
 )
 from .spectral import (
     GaussianFilter,

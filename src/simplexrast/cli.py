@@ -179,9 +179,24 @@ def _finite_mesh(mesh, role: str):
     return mesh
 
 
-def _load_fit_problem(path) -> tuple[FitProblem, dict]:
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _load_fit_problem(path) -> tuple[FitProblem, int]:
+    """The fit problem a JSON spec describes, and its snapshot interval
+    (0: none).  A value of the wrong type is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+        spec = _json_object(json.load(fh), "fit problem")
+    try:
+        return _fit_problem(spec), int(spec.get("snapshot_every", 0))
+    except (TypeError, OverflowError) as exc:  # e.g. null or 1e999 where a number belongs
+        raise ValueError(f"fit problem has a value of the wrong type: {exc}") from exc
+
+
+def _fit_problem(spec: dict) -> FitProblem:
     mesh = _finite_mesh(load_mesh(spec["mesh"]), "start")
     if "target_mesh" in spec:
         target = _finite_mesh(load_mesh(spec["target_mesh"]), "target")
@@ -195,30 +210,28 @@ def _load_fit_problem(path) -> tuple[FitProblem, dict]:
     schedule = Schedule(step=float(spec.get("step", 1e-3)),
                         max_iters=int(spec.get("max_iters", 500)),
                         tol=float(spec.get("tol", 0.0)),
-                        backtrack=bool(spec.get("backtrack", True)),
-                        snapshot_every=int(spec.get("snapshot_every", 0)))
+                        backtrack=bool(spec.get("backtrack", True)))
     rig = None
     if spec.get("rig"):
-        rig_spec = spec["rig"]
+        rig_spec = _json_object(spec["rig"], "rig")
         rig = make_rig(mesh.vertices, rig_spec["centers"],
                        controls=rig_spec.get("controls"),
                        weights=rig_spec.get("weights"))
     pose = None
     if spec.get("pose"):
-        pose_spec = spec["pose"]
+        pose_spec = _json_object(spec["pose"], "pose")
         pose = PoseQuat(pose_spec.get("q", [1, 0, 0, 0]),
                         pose_spec.get("t", [0, 0, 0]),
                         pose_spec.get("pivot"))
-    problem = FitProblem(mesh=mesh, target=target, config=config, schedule=schedule,
-                         variable=spec.get("variable", "vertices"),
-                         loss=spec.get("loss", "l2"), rig=rig, pose=pose,
-                         smooth_weight=float(spec.get("smooth_weight", 0.0)),
-                         mres_resolutions=tuple(spec.get("mres_resolutions", ())))
-    return problem, spec
+    return FitProblem(mesh=mesh, target=target, config=config, schedule=schedule,
+                      variable=spec.get("variable", "vertices"),
+                      loss=spec.get("loss", "l2"), rig=rig, pose=pose,
+                      smooth_weight=float(spec.get("smooth_weight", 0.0)),
+                      mres_resolutions=tuple(int(r) for r in spec.get("mres_resolutions", ())))
 
 
 def cmd_fit(args) -> int:
-    problem, _ = _load_fit_problem(args.problem)
+    problem, every = _load_fit_problem(args.problem)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = fit(problem)
@@ -228,7 +241,6 @@ def cmd_fit(args) -> int:
         for point in result.trajectory:
             writer.writerow([point.iteration, f"{point.loss:.12g}",
                              f"{point.grad_norm:.12g}"])
-    every = problem.schedule.snapshot_every
     for point in result.trajectory:
         if every and point.iteration % every == 0:
             save_mesh(problem.geometry(point.state),
@@ -242,15 +254,18 @@ def cmd_fit(args) -> int:
 
 def cmd_subdivide(args) -> int:
     with open(args.polygon, encoding="utf-8") as fh:
-        data = json.load(fh)
-    polygon = np.asarray(data["polygon"], dtype=np.float64)
-    n_edges = polygon.shape[0]
-    if args.deltas:
-        with open(args.deltas, encoding="utf-8") as fh:
-            deltas = np.asarray(json.load(fh), dtype=np.float64)
-    else:
-        deltas = np.full(n_edges, args.delta)
+        data = _json_object(json.load(fh), "polygon file")
+    try:
+        polygon = np.asarray(data["polygon"], dtype=np.float64)
+        if args.deltas:
+            with open(args.deltas, encoding="utf-8") as fh:
+                deltas = np.asarray(json.load(fh), dtype=np.float64)
+        else:
+            deltas = np.full(polygon.shape[:1], args.delta)
+    except TypeError as exc:  # e.g. an object where numbers belong
+        raise ValueError(f"polygon or deltas have a value of the wrong type: {exc}") from exc
     refined = polygon_subdivide(polygon, deltas)
+    n_edges = polygon.shape[0]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"polygon": refined.tolist()}, fh, allow_nan=False)
         fh.write("\n")

@@ -87,28 +87,6 @@ def lbs_apply(rig: ControlRig) -> np.ndarray:
     return np.einsum("vm,vmd->vd", rig.weights, per_control)
 
 
-def lbs_jacobian(rig: ControlRig, vertex: int) -> np.ndarray:
-    """Jacobian of one deformed vertex in the control DOFs, shape (m, 2, 3).
-
-    Translation columns are the weight times identity; the rotation column
-    is the weight times the quarter-turn of the rotated center offset
-    (perpendicular to the offset at zero rotation).
-    """
-    rig.check_weights()
-    theta = rig.controls[:, 2]
-    cos, sin = np.cos(theta), np.sin(theta)
-    rel = rig.rest_vertices[vertex][None, :] - rig.centers  # (m, 2)
-    drot_x = -sin * rel[:, 0] - cos * rel[:, 1]
-    drot_y = cos * rel[:, 0] - sin * rel[:, 1]
-    w = rig.weights[vertex]
-    jac = np.zeros((rig.n_controls, 2, 3))
-    jac[:, 0, 0] = w
-    jac[:, 1, 1] = w
-    jac[:, 0, 2] = w * drot_x
-    jac[:, 1, 2] = w * drot_y
-    return jac
-
-
 def lbs_pullback(rig: ControlRig, d_vertices) -> np.ndarray:
     """Vertex cotangents -> control cotangents, (m, 3)."""
     dv = np.asarray(d_vertices, dtype=np.float64)

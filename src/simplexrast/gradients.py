@@ -70,7 +70,7 @@ def _kernel_coefs(sig):
     """
     n = sig.shape[0]
     lk, gaps = _gap_kernel(sig)
-    terms = np.moveaxis(lk.terms, -1, 0)  # node-major, as sig
+    terms = lk.terms
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coefs = -1j * terms
         for q, (t, l) in enumerate(zip(*np.triu_indices(n, 1))):
@@ -88,12 +88,6 @@ def _kernel_coefs(sig):
         nodes = np.concatenate([rep, bad[:, :, None]], axis=2)
         coefs[:, risky] = _divided_diff_series(nodes.reshape(-1, n + 1)).reshape(-1, n).T
     return _route_kernel(sig, lk), coefs
-
-
-def _kernel_batch(sig):
-    """``_kernel_coefs`` for phase rows (..., n); coefficients keep that layout."""
-    s, coefs = _kernel_coefs(np.moveaxis(sig, -1, 0))
-    return s, np.moveaxis(coefs, 0, -1)
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,

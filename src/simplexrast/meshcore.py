@@ -201,28 +201,6 @@ def content(points) -> float:
     return float(_batch_content(pts[None])[0])
 
 
-def distortion_factor(points) -> float:
-    """``j! * content``: measure relative to the unit orthogonal simplex."""
-    pts = np.asarray(points, dtype=np.float64)
-    j = pts.shape[0] - 1
-    return math.factorial(j) * content(pts)
-
-
-def signed_distortion(offsets) -> float:
-    """Signed distortion of the auxiliary simplex (origin, x_1, ..., x_j).
-
-    ``offsets`` holds the j non-origin nodes as rows and must be square
-    (the auxiliary simplex lives in d = j dimensions).  Equals
-    ``j! * det([x_1 ... x_j])`` including orientation sign, so swapping two
-    nodes negates it.
-    """
-    m = np.asarray(offsets, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("signed distortion needs a square (j, j) offset matrix (d == j)")
-    j = m.shape[0]
-    return math.factorial(j) * float(np.linalg.det(m))
-
-
 # ---------------------------------------------------------------------------
 # batched element weights (hot path for the transform and its gradients)
 

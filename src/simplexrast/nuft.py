@@ -140,7 +140,7 @@ class LagrangeKernel(NamedTuple):
     """Lagrange-form kernel pieces for a batch of phase rows."""
 
     s: np.ndarray         # summed kernel
-    terms: np.ndarray     # individual terms S_t, node axis last
+    terms: np.ndarray     # individual terms S_t, node axis first
     min_gap: np.ndarray   # smallest pairwise phase gap per row
     amp: np.ndarray       # largest term amplification per row
     unsafe: np.ndarray    # rows that must use the stable path
@@ -172,12 +172,7 @@ def _gap_kernel(sig: np.ndarray):
         terms = np.exp(-1j * sig) / prod
         s = terms.sum(axis=0)
     unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
-    return LagrangeKernel(s, np.moveaxis(terms, 0, -1), min_gap, amp, unsafe), gaps
-
-
-def _lagrange_terms(sig: np.ndarray) -> LagrangeKernel:
-    """Lagrange pieces of phase rows (..., n)."""
-    return _gap_kernel(np.moveaxis(sig, -1, 0))[0]
+    return LagrangeKernel(s, terms, min_gap, amp, unsafe), gaps
 
 
 def _route_kernel(sig: np.ndarray, lk: LagrangeKernel) -> np.ndarray:
@@ -188,18 +183,6 @@ def _route_kernel(sig: np.ndarray, lk: LagrangeKernel) -> np.ndarray:
         s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
         s[lk.unsafe] = _divided_diff_series(sig[:, lk.unsafe].T)
     return s
-
-
-def eval_S(sigmas) -> complex:
-    """Summation kernel over j+1 phases: divided difference of exp(-i s).
-
-    Total function; repeated or nearly-equal phases take the confluent
-    limit, e.g. all-zero phases give (-i)**j / j!.
-    """
-    sig = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
-    if not np.all(np.isfinite(sig)):
-        raise ValueError("phases must be finite")
-    return complex(_route_kernel(sig, _gap_kernel(sig)[0])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,14 @@ import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
 from .meshcore import SimplexMesh
-from .pipeline import (
-    RasterizeConfig,
-    loss_mres,  # not called here: perfbench/layers.py wraps optimizer.loss_mres
-    loss_smooth,
-    polygon_boundary_mesh,
-    polygon_signed_area,
-    rasterize,
-    rasterize_backward,
-    rasterize_polygon,
-)
+from .pipeline import RasterizeConfig, _ccw_loop, loss_smooth, rasterize, rasterize_backward
 from .spectral import Raster
 
 VARIABLES = ("vertices", "rig", "pose")
 LOSSES = ("l1", "l2", "mres_smooth")
+
+#: step halvings one iteration may try before the fit stops
+_MAX_HALVINGS = 20
 
 
 class FitDivergedError(RuntimeError):
@@ -40,8 +34,6 @@ class Schedule:
     max_iters: int = 500
     tol: float = 0.0
     backtrack: bool = True
-    max_halvings: int = 20
-    snapshot_every: int = 0
 
     def __post_init__(self):
         if self.step <= 0:
@@ -57,7 +49,8 @@ class FitProblem:
     the multi-resolution + smoothness composite for polygon boundaries.
     ``target`` may be a raster or a mesh (rasterized once at ``config``).
     ``mres_smooth`` replaces ``mesh`` by its vertex loop at unit density,
-    walked counter-clockwise, and takes a polygon or its mesh as target.
+    walked counter-clockwise (``pipeline._ccw_loop``), and takes a polygon
+    or its boundary mesh as target.
     """
 
     mesh: SimplexMesh
@@ -87,10 +80,7 @@ class FitProblem:
                 raise ValueError("mres_smooth loss needs resolutions")
             if self.variable != "vertices":
                 raise ValueError("mres_smooth fits polygon vertices directly")
-            loop = polygon_boundary_mesh(self.mesh.vertices)
-            if polygon_signed_area(loop.vertices) < 0:  # walk the edges backwards
-                loop.elements = loop.n_vertices - 1 - loop.elements
-            self.mesh = loop
+            self.mesh = _ccw_loop(self.mesh.vertices, self.mesh.elements)
         if self.smooth_weight < 0:
             raise ValueError("smoothness weight must be >= 0")
 
@@ -132,6 +122,42 @@ class FitResult:
         return np.array([p.loss for p in self.trajectory])
 
 
+def _raster_term(mesh: SimplexMesh, config: RasterizeConfig, target: Raster,
+                 squared: bool, need_grad: bool):
+    """Raster L2 (``squared``) or L1 distance of ``mesh`` to ``target`` at
+    ``config``, and its vertex gradient when ``need_grad`` (else None).
+
+    The L1 gradient is the sign subgradient (sign(0) = 0, so it is exactly
+    zero at a perfect match).
+    """
+    diff = rasterize(mesh, config).values - target.values
+    if squared:
+        value, cot = float((diff ** 2).sum()), 2.0 * diff
+    else:
+        value, cot = float(np.abs(diff).sum()), np.sign(diff)
+    if not need_grad:
+        return value, None
+    return value, rasterize_backward(mesh, config, cot).d_vertices
+
+
+def loss_mres(candidates, target_polygon, config: RasterizeConfig):
+    """Multi-resolution raster L1 against a target polygon.
+
+    ``candidates`` is a list of (polygon, resolution) pairs; the loss sums
+    the raster L1 terms at each listed resolution and returns one vertex
+    gradient per candidate, in the candidate's own vertex order.
+    """
+    target = _ccw_loop(target_polygon)
+    total, grads = 0.0, []
+    for polygon, resolution in candidates:
+        cfg = replace(config, resolution=int(resolution), mode="auxnode")
+        value, grad = _raster_term(_ccw_loop(polygon), cfg, rasterize(target, cfg),
+                                   squared=False, need_grad=True)
+        total += value
+        grads.append(grad)
+    return total, grads
+
+
 def make_objective(problem: FitProblem):
     """Callable (state, need_grad=True) -> (loss, gradient-or-None).
 
@@ -139,11 +165,12 @@ def make_objective(problem: FitProblem):
     here once, plus for ``mres_smooth`` the weighted loop smoothness.
     """
     if problem.loss == "mres_smooth":
-        target = problem.target.vertices if isinstance(problem.target, SimplexMesh) \
-            else problem.target
+        target = problem.target
+        loop = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
+                else _ccw_loop(target))
         configs = [replace(problem.config, resolution=int(r), mode="auxnode")
                    for r in problem.mres_resolutions]
-        terms = [(cfg, rasterize_polygon(target, cfg)) for cfg in configs]
+        terms = [(cfg, rasterize(loop, cfg)) for cfg in configs]
     elif isinstance(problem.target, Raster):
         if problem.target.resolution != problem.config.resolution:
             raise ValueError("target raster resolution does not match config")
@@ -162,15 +189,9 @@ def make_objective(problem: FitProblem):
             return np.nan, (np.full(state.shape, np.nan) if need_grad else None)
         value, grads = 0.0, []
         for config, target in terms:
-            diff = rasterize(mesh, config).values - target.values
-            if problem.loss == "l2":
-                value += float((diff ** 2).sum())
-                cot = 2.0 * diff
-            else:
-                value += float(np.abs(diff).sum())
-                cot = np.sign(diff)
-            if need_grad:
-                grads.append(rasterize_backward(mesh, config, cot).d_vertices)
+            term, grad = _raster_term(mesh, config, target, problem.loss == "l2", need_grad)
+            value += term
+            grads.append(grad)
         if smooth:
             s_val, s_grad = loss_smooth(mesh.vertices)
             value += problem.smooth_weight * s_val
@@ -214,7 +235,7 @@ def fit(problem: FitProblem) -> FitResult:
             break
         step = sched.step
         accepted = False
-        for _ in range(sched.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = state - step * grad
             cand_loss, _ = objective(cand, need_grad=False)
             if not np.isfinite(cand_loss):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
-from .meshcore import SimplexMesh
+from .meshcore import MeshValidationError, SimplexMesh
 from .nuft import forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
@@ -66,15 +66,6 @@ def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
     return backward_auxnode(mesh, grid, cot)
 
 
-def raster_loss(mesh: SimplexMesh, config: RasterizeConfig, raster_cotangent) -> float:
-    """The linear functional ``sum_pixels cotangent * raster`` itself."""
-    cot = np.asarray(raster_cotangent, dtype=np.float64)
-    values = rasterize(mesh, config).values
-    if cot.shape != values.shape:
-        cot = cot[..., None]
-    return float(np.sum(cot * values))
-
-
 def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
                                raster_cotangent, h: float = 1e-6) -> MeshGradient:
     """Central-difference reference for :func:`rasterize_backward`.
@@ -111,11 +102,6 @@ def _check_polygon(polygon) -> np.ndarray:
     return p
 
 
-def ensure_ccw(polygon) -> np.ndarray:
-    p = _check_polygon(polygon)
-    return p if polygon_signed_area(p) >= 0 else p[::-1].copy()
-
-
 def polygon_boundary_mesh(polygon, density: float = 1.0) -> SimplexMesh:
     """Closed polygon as a degree-1 boundary mesh (one segment per edge)."""
     p = _check_polygon(polygon)
@@ -132,34 +118,30 @@ def polygon_fan_mesh(polygon, density: float = 1.0) -> SimplexMesh:
     return SimplexMesh(2, 2, p, np.asarray(tris), np.full(n - 2, float(density)))
 
 
-def rasterize_polygon(polygon, config: RasterizeConfig) -> Raster:
-    cfg = replace(config, mode="auxnode")
-    return rasterize(polygon_boundary_mesh(ensure_ccw(polygon)), cfg)
+def _undirected(elements) -> set:
+    return {frozenset(row) for row in np.asarray(elements).tolist()}
 
 
-# ---------------------------------------------------------------------------
-# losses
+def _ccw_loop(polygon, elements=None) -> SimplexMesh:
+    """Boundary mesh of a vertex loop whose edges walk it counter-clockwise.
 
-def loss_mres(candidates, target_polygon, config: RasterizeConfig):
-    """Multi-resolution raster L1 against a target polygon.
-
-    ``candidates`` is a list of (polygon, resolution) pairs; the loss sums
-    the per-pixel absolute raster differences at each listed resolution
-    and the returned per-candidate gradients use the sign subgradient
-    (sign(0) = 0, so the gradient at a perfect match is exactly zero).
+    Keeps the caller's vertex order: a clockwise loop gets the elements
+    ``n - 1 - (i, i + 1)``, the same segments walked backwards.  A boundary
+    mesh's ``elements`` must be the loop's n undirected edges
+    ``{i, i + 1 mod n}``; any other wiring would be read as a different loop.
     """
-    target = _check_polygon(target_polygon)
-    total = 0.0
-    grads = []
-    for polygon, resolution in candidates:
-        mesh = polygon_boundary_mesh(ensure_ccw(polygon))
-        flipped = polygon_signed_area(np.asarray(polygon, float)) < 0
-        cfg = replace(config, resolution=int(resolution), mode="auxnode")
-        diff = rasterize(mesh, cfg).values - rasterize_polygon(target, cfg).values
-        total += float(np.abs(diff).sum())
-        dv = rasterize_backward(mesh, cfg, np.sign(diff)).d_vertices
-        grads.append(dv[::-1].copy() if flipped else dv)
-    return total, grads
+    mesh = polygon_boundary_mesh(polygon)
+    if elements is not None and (len(elements) != mesh.n_elements
+                                 or _undirected(elements) != _undirected(mesh.elements)):
+        raise MeshValidationError(
+            ["boundary elements are not the edges {i, i+1 mod n} of its vertex loop"])
+    if polygon_signed_area(mesh.vertices) < 0:
+        mesh.elements = mesh.n_vertices - 1 - mesh.elements
+    return mesh
+
+
+def rasterize_polygon(polygon, config: RasterizeConfig) -> Raster:
+    return rasterize(_ccw_loop(polygon), replace(config, mode="auxnode"))
 
 
 def _ccw_corners(polygon):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .meshcore import SimplexMesh, _batch_content
-from .spectral import SpectralField, SpectralGrid
 
 #: elements with content at or below this are redrawn
 REJECT_CONTENT = 1e-3
@@ -68,8 +67,3 @@ def random_raster_cotangent(dim: int, resolution: int, rng: np.random.Generator,
                             channels: int = 1) -> np.ndarray:
     return rng.standard_normal(size=(resolution,) * dim + (channels,))
 
-
-def random_spectral_cotangent(grid: SpectralGrid, rng: np.random.Generator,
-                              channels: int = 1) -> SpectralField:
-    shape = (grid.n_modes, channels)
-    return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -211,7 +211,12 @@ def load_raster(path) -> Raster:
     sidecar = path.with_name(path.name + ".json")
     with open(sidecar, encoding="utf-8") as fh:
         meta = json.load(fh)
-    dim, res, channels = int(meta["dim"]), int(meta["resolution"]), int(meta["channels"])
+    if not isinstance(meta, dict):
+        raise ValueError(f"raster sidecar {sidecar} must be a JSON object")
+    try:
+        dim, res, channels = int(meta["dim"]), int(meta["resolution"]), int(meta["channels"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"raster sidecar {sidecar}: {exc}") from exc
     values = np.fromfile(path, dtype="<f4").astype(np.float64)
     values = values.reshape((res,) * dim + (channels,))
     return Raster(dim=dim, resolution=res, values=values)

@@ -2,7 +2,8 @@
 
 These evaluate one element at one wavevector with plain loops, the way the
 formulas are written, so the batched library paths have something
-independent to be checked against.
+independent to be checked against.  The scalar and row-layout views of the
+batched kernel, and the few helpers only the tests need, live here too.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from simplexrast.gradients import _DS_AMP_MAX
-from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError
-from simplexrast.nuft import _I_POW, _divided_diff_series, _lagrange_terms, eval_S
+from simplexrast.gradients import _DS_AMP_MAX, _kernel_coefs
+from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError, content
+from simplexrast.nuft import _I_POW, _divided_diff_series, _gap_kernel, _route_kernel
+from simplexrast.pipeline import rasterize
 from simplexrast.spectral import Raster, SpectralField
 
 
@@ -30,6 +32,93 @@ def sigma(k, x) -> float:
     if kv.shape != xv.shape:
         raise ValueError(f"wavevector shape {kv.shape} != coordinate shape {xv.shape}")
     return float(kv @ xv)
+
+
+# ---------------------------------------------------------------------------
+# scalar and row-layout views of the library's batched paths
+
+def eval_S(sigmas) -> complex:
+    """Summation kernel over j+1 phases: divided difference of exp(-i s).
+
+    Total function; repeated or nearly-equal phases take the confluent
+    limit, e.g. all-zero phases give (-i)**j / j!.
+    """
+    sig = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
+    if not np.all(np.isfinite(sig)):
+        raise ValueError("phases must be finite")
+    return complex(_route_kernel(sig, _gap_kernel(sig)[0])[0])
+
+
+def lagrange_terms(sig: np.ndarray):
+    """Lagrange pieces of phase rows (..., n), terms with the node axis last."""
+    lk = _gap_kernel(np.moveaxis(sig, -1, 0))[0]
+    return lk._replace(terms=np.moveaxis(lk.terms, 0, -1))
+
+
+def kernel_batch(sig):
+    """Kernel values and derivative coefficients of phase rows (..., n);
+    the coefficients keep that layout."""
+    s, coefs = _kernel_coefs(np.moveaxis(sig, -1, 0))
+    return s, np.moveaxis(coefs, 0, -1)
+
+
+def distortion_factor(points) -> float:
+    """``j! * content``: measure relative to the unit orthogonal simplex."""
+    pts = np.asarray(points, dtype=np.float64)
+    j = pts.shape[0] - 1
+    return math.factorial(j) * content(pts)
+
+
+def signed_distortion(offsets) -> float:
+    """Signed distortion of the auxiliary simplex (origin, x_1, ..., x_j).
+
+    ``offsets`` holds the j non-origin nodes as rows and must be square
+    (the auxiliary simplex lives in d = j dimensions).  Equals
+    ``j! * det([x_1 ... x_j])`` including orientation sign, so swapping two
+    nodes negates it.
+    """
+    m = np.asarray(offsets, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("signed distortion needs a square (j, j) offset matrix (d == j)")
+    j = m.shape[0]
+    return math.factorial(j) * float(np.linalg.det(m))
+
+
+def lbs_jacobian(rig, vertex: int) -> np.ndarray:
+    """Jacobian of one deformed vertex in the control DOFs, shape (m, 2, 3).
+
+    Translation columns are the weight times identity; the rotation column
+    is the weight times the quarter-turn of the rotated center offset
+    (perpendicular to the offset at zero rotation).
+    """
+    rig.check_weights()
+    theta = rig.controls[:, 2]
+    cos, sin = np.cos(theta), np.sin(theta)
+    rel = rig.rest_vertices[vertex][None, :] - rig.centers  # (m, 2)
+    drot_x = -sin * rel[:, 0] - cos * rel[:, 1]
+    drot_y = cos * rel[:, 0] - sin * rel[:, 1]
+    w = rig.weights[vertex]
+    jac = np.zeros((rig.n_controls, 2, 3))
+    jac[:, 0, 0] = w
+    jac[:, 1, 1] = w
+    jac[:, 0, 2] = w * drot_x
+    jac[:, 1, 2] = w * drot_y
+    return jac
+
+
+def raster_loss(mesh, config, raster_cotangent) -> float:
+    """The linear functional ``sum_pixels cotangent * raster`` itself."""
+    cot = np.asarray(raster_cotangent, dtype=np.float64)
+    values = rasterize(mesh, config).values
+    if cot.shape != values.shape:
+        cot = cot[..., None]
+    return float(np.sum(cot * values))
+
+
+def random_spectral_cotangent(grid, rng: np.random.Generator,
+                              channels: int = 1) -> SpectralField:
+    shape = (grid.n_modes, channels)
+    return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def forward_element(points, density, k) -> complex:
@@ -129,7 +218,7 @@ def dgamma_dx(points, p: int, strict: bool = False) -> np.ndarray:
 
 
 def _kernel_and_coef(sig: np.ndarray, p: int) -> tuple[complex, complex]:
-    lk = _lagrange_terms(sig[None])
+    lk = lagrange_terms(sig[None])
     if lk.unsafe[0]:
         kernel = complex(_divided_diff_series(sig[None])[0])
     else:

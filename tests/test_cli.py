@@ -298,6 +298,108 @@ class TestFitCommand:
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
 
 
+    @pytest.mark.parametrize("role", ["mesh", "target_mesh"])
+    def test_mres_loop_out_of_order_exit_2(self, tmp_path, capsys, role):
+        """A boundary stored as p0, p2, p1, p3 and wired p0-p1-p2-p3 is a
+        valid square, but not the loop of its vertex list."""
+        self.make_problem(tmp_path, (0.0, 0.0))
+        permuted = {"dim": 2, "degree": 1, "vertices": [SQUARE[i] for i in (0, 2, 1, 3)],
+                    "elements": [[0, 2], [2, 1], [1, 3], [3, 0]], "densities": [1.0] * 4}
+        problem = json.loads((tmp_path / "problem.json").read_text())
+        problem.update({"loss": "mres_smooth", "mres_resolutions": [32], "max_iters": 2,
+                        role: write_json(tmp_path / "permuted.json", permuted)})
+        path = write_json(tmp_path / "mres.json", problem)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 2
+        assert "edges" in capsys.readouterr().err
+
+
+def _square_fit_spec(tmp):
+    """A two-iteration square fit at R=8 whose every file lives in ``tmp``."""
+    init = {"dim": 2, "degree": 1, "vertices": SQUARE,
+            "elements": [[0, 1], [1, 2], [2, 3], [3, 0]], "densities": [1.0] * 4}
+    target = dict(init, vertices=(np.array(SQUARE) + [0.05, 0.0]).tolist())
+    return {"variable": "vertices", "loss": "l2", "mode": "auxnode",
+            "mesh": write_json(Path(tmp) / "init.json", init),
+            "target_mesh": write_json(Path(tmp) / "target.json", target),
+            "resolution": 8, "step": 1e-3, "max_iters": 2,
+            "rig": {"centers": [[0.5, 0.5]]}, "pose": {"q": [1, 0, 0, 0]},
+            "mres_resolutions": [8]}
+
+
+class TestMalformedInput:
+    """Values of the wrong type in a fit, raster or polygon JSON are input
+    errors (exit 1), not tracebacks."""
+
+    @pytest.mark.parametrize("change", [
+        {"mres_resolutions": 16, "loss": "mres_smooth"},
+        {"resolution": [16]},
+        {"step": None},
+        {"resolution": 1e999},                      # read as inf
+        {"snapshot_every": None},
+        {"pose": 5, "variable": "pose"},
+        {"rig": 5, "variable": "rig"},
+    ])
+    def test_fit_field_of_wrong_type_exit_1(self, tmp_path, capsys, change):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(_square_fit_spec(tmp_path), **change)))
+        assert main(["fit", "--problem", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_fit_top_level_array_exit_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", [1, 2])
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_raster_sidecar_array_exit_1(self, tmp_path, capsys):
+        spec = _square_fit_spec(tmp_path)
+        del spec["target_mesh"]
+        (tmp_path / "t.f32").write_bytes(bytes(4 * 64))
+        write_json(tmp_path / "t.f32.json", [1])
+        path = write_json(tmp_path / "p.json", dict(spec, target_raster=str(tmp_path / "t.f32")))
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        assert "sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("polygon,deltas", [
+        ({"polygon": 5}, None),
+        ([1, 2], None),
+        ({"polygon": SQUARE}, {"a": 1}),
+    ])
+    def test_subdivide_wrong_type_exit_1(self, tmp_path, capsys, polygon, deltas):
+        args = ["subdivide", "--polygon", write_json(tmp_path / "poly.json", polygon),
+                "--out", str(tmp_path / "o.json")]
+        if deltas is not None:
+            args += ["--deltas", write_json(tmp_path / "d.json", deltas)]
+        assert main(args) == 1
+        assert "error" in capsys.readouterr().err
+
+
+FIT_KEYS = ["mesh", "target_mesh", "target_raster", "resolution", "filter_width", "mode",
+            "step", "max_iters", "tol", "backtrack", "snapshot_every", "rig", "pose",
+            "variable", "loss", "smooth_weight", "mres_resolutions"]
+# JSON values of every kind; numbers stay small so a fit stays at most 2 iterations
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2.9, 2.9),
+    st.sampled_from([float("nan"), float("inf")]), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["centers", "controls", "weights", "q", "t", "pivot"]),
+                    st.integers(0, 2) | st.lists(st.floats(-1, 1), max_size=4), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(variable=st.sampled_from(["vertices", "rig", "pose"]),
+       loss=st.sampled_from(["l1", "l2", "mres_smooth"]),
+       changes=st.dictionaries(st.sampled_from(FIT_KEYS), JSON_VALUES, min_size=1, max_size=2))
+def test_malformed_fit_spec_never_uncaught(variable, loss, changes):
+    """Any value in any field of a fit spec gives a documented exit code:
+    never an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = {**_square_fit_spec(tmp), "variable": variable, "loss": loss, **changes}
+        path = write_json(Path(tmp) / "p.json", spec)
+        code = main(["fit", "--problem", path, "--out", str(Path(tmp) / "run")])
+    assert code in (0, 1, 2, 4)
+
+
 class TestSubdivideCommand:
     def test_doubles_vertices(self, tmp_path):
         poly = write_json(tmp_path / "poly.json", {"polygon": SQUARE})

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import simplexrast as sr
-from simplexrast.meshcore import distortion_factor
 import oracles
+from oracles import distortion_factor
 
 TWO_PI = 2.0 * np.pi
 UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -72,7 +72,7 @@ class TestDS:
             k = TWO_PI * rng.integers(-4, 5, d).astype(float)
             for p in range(j + 1):
                 ana = oracles.dS_dx(pts @ k, p, k)
-                fd = fd_vector(lambda q: sr.eval_S(q @ k), pts, p, h=1e-7)
+                fd = fd_vector(lambda q: oracles.eval_S(q @ k), pts, p, h=1e-7)
                 assert np.abs(ana - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-3)
 
     def test_confluent_phases_route_stably(self):
@@ -80,7 +80,7 @@ class TestDS:
         sig = np.array([0.5, 0.5, 1.7])
         pts = np.array([[0.5 / TWO_PI, 0.1], [0.5 / TWO_PI, 0.9], [1.7 / TWO_PI, 0.4]])
         ana = oracles.dS_dx(sig, 0, k)
-        fd = fd_vector(lambda q: sr.eval_S(q @ k), pts, 0, h=1e-7)
+        fd = fd_vector(lambda q: oracles.eval_S(q @ k), pts, 0, h=1e-7)
         assert np.abs(ana - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-3)
 
 
@@ -170,15 +170,15 @@ class TestBackwardMesh:
         vertices = np.vstack([UNIT_TRIANGLE, [0.9, 0.9]])
         mesh = sr.SimplexMesh(2, 2, vertices, [[0, 1, 2]], [1.0])
         grid = sr.build_grid(2, 8)
-        grad = sr.backward_mesh(mesh, grid, sr.random_spectral_cotangent(grid, rng))
+        grad = sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(grid, rng))
         assert np.all(grad.d_vertices[3] == 0.0)
         assert np.abs(grad.d_vertices[:3]).max() > 0
 
     def test_linearity_in_cotangent(self, rng):
         mesh = sr.random_mesh(2, 2, 8, rng)
         grid = sr.build_grid(2, 4)
-        g1 = sr.random_spectral_cotangent(grid, rng)
-        g2 = sr.random_spectral_cotangent(grid, rng)
+        g1 = oracles.random_spectral_cotangent(grid, rng)
+        g2 = oracles.random_spectral_cotangent(grid, rng)
         mix = sr.SpectralField(grid, 0.7 * g1.coeffs + 1.9 * g2.coeffs)
         lhs = sr.backward_mesh(mesh, grid, mix)
         a = sr.backward_mesh(mesh, grid, g1)
@@ -191,7 +191,7 @@ class TestBackwardMesh:
         for j, d in [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3)]:
             mesh = sr.random_mesh(j, d, 8, rng)
             grid = sr.build_grid(d, 4)
-            cot = sr.random_spectral_cotangent(grid, rng)
+            cot = oracles.random_spectral_cotangent(grid, rng)
             ana = sr.backward_mesh(mesh, grid, cot)
             num = sr.numeric_backward(mesh, grid, cot, h=1e-6)
             sv = max(np.abs(num.d_vertices).max(), 1e-10)
@@ -202,7 +202,7 @@ class TestBackwardMesh:
     def test_multichannel_gradcheck(self, rng):
         mesh = sr.random_mesh(2, 2, 8, rng, channels=3)
         grid = sr.build_grid(2, 4)
-        cot = sr.random_spectral_cotangent(grid, rng, channels=3)
+        cot = oracles.random_spectral_cotangent(grid, rng, channels=3)
         ana = sr.backward_mesh(mesh, grid, cot)
         num = sr.numeric_backward(mesh, grid, cot, h=1e-6)
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
@@ -220,7 +220,7 @@ class TestBackwardMesh:
         vertices = np.array([[0.1, 0.1], [0.5, 0.1], [0.9, 0.1], [0.5, 0.8]])
         mesh = sr.SimplexMesh(2, 2, vertices, [[0, 1, 2], [0, 1, 3]], [1.0, 1.0])
         grid = sr.build_grid(2, 4)
-        cot = sr.random_spectral_cotangent(grid, rng)
+        cot = oracles.random_spectral_cotangent(grid, rng)
         with pytest.warns(RuntimeWarning, match="degenerate"):
             grad = sr.backward_mesh(mesh, grid, cot)
         assert np.all(grad.d_vertices[2] == 0.0)  # only in the flat element
@@ -232,9 +232,9 @@ class TestBackwardMesh:
         mesh = sr.random_mesh(2, 2, 6, rng)
         grid = sr.build_grid(2, 4)
         with pytest.raises(ValueError):
-            sr.backward_mesh(mesh, grid, sr.random_spectral_cotangent(sr.build_grid(2, 8), rng))
+            sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(sr.build_grid(2, 8), rng))
         with pytest.raises(ValueError):
-            sr.backward_mesh(mesh, grid, sr.random_spectral_cotangent(grid, rng, channels=2))
+            sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(grid, rng, channels=2))
 
     def test_worker_chunks_match(self, rng):
         grid = sr.build_grid(2, 8)
@@ -242,7 +242,7 @@ class TestBackwardMesh:
                  (sr.backward_auxnode,
                   sr.polygon_boundary_mesh(sr.random_convex_polygon(13, rng)))]
         for backward, mesh in cases:
-            cot = sr.random_spectral_cotangent(grid, rng)
+            cot = oracles.random_spectral_cotangent(grid, rng)
             g1 = backward(mesh, grid, cot, workers=1)
             g4 = backward(mesh, grid, cot, workers=4)
             scale = max(np.abs(g1.d_vertices).max(), 1.0)
@@ -265,7 +265,7 @@ class TestBackwardMesh:
                   sr.polygon_boundary_mesh(sr.random_convex_polygon(11, rng)), grid2)]
         for backward, mesh, grid in cases:
             assert len(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1]) > 2
-            cot = sr.random_spectral_cotangent(grid, rng)
+            cot = oracles.random_spectral_cotangent(grid, rng)
             g1 = backward(mesh, grid, cot, workers=1)
             for workers in (2, 3):
                 g = backward(mesh, grid, cot, workers=workers)
@@ -313,7 +313,7 @@ class TestNumericBackward:
     def test_richardson_order(self, rng):
         mesh = sr.random_mesh(2, 2, 6, rng)
         grid = sr.build_grid(2, 4)
-        cot = sr.random_spectral_cotangent(grid, rng)
+        cot = oracles.random_spectral_cotangent(grid, rng)
         exact = sr.backward_mesh(mesh, grid, cot)
         err = {}
         for h in (2e-3, 1e-3):
@@ -326,7 +326,7 @@ class TestNumericBackward:
         mesh = sr.SimplexMesh(2, 2, [[0.2, 0.2], [0.7, 0.3], [0.4, 0.8]],
                               [[0, 1, 2]], [1.0])
         grid = sr.build_grid(2, 4)
-        cot = sr.random_spectral_cotangent(grid, np.random.default_rng(1))
+        cot = oracles.random_spectral_cotangent(grid, np.random.default_rng(1))
         ana = sr.backward_mesh(mesh, grid, cot)
         num = sr.numeric_backward(mesh, grid, cot, h=1e-6)
         scale = max(np.abs(num.d_vertices).max(), 1e-10)
@@ -336,7 +336,7 @@ class TestNumericBackward:
         mesh = sr.random_mesh(1, 2, 4, rng)
         grid = sr.build_grid(2, 4)
         with pytest.raises(ValueError):
-            sr.numeric_backward(mesh, grid, sr.random_spectral_cotangent(grid, rng), h=0)
+            sr.numeric_backward(mesh, grid, oracles.random_spectral_cotangent(grid, rng), h=0)
 
 
 class TestBackwardAuxnode:
@@ -344,7 +344,7 @@ class TestBackwardAuxnode:
         poly = sr.random_convex_polygon(6, rng)
         boundary = sr.polygon_boundary_mesh(poly)
         grid = sr.build_grid(2, 8)
-        cot = sr.random_spectral_cotangent(grid, rng)
+        cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(boundary, grid, cot)
         num = sr.numeric_backward(boundary, grid, cot, h=1e-6, mode="auxnode")
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
@@ -365,7 +365,7 @@ class TestBackwardAuxnode:
 
         _, surface = box_solid_and_surface()
         grid = sr.build_grid(3, 4)
-        cot = sr.random_spectral_cotangent(grid, rng)
+        cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(surface, grid, cot)
         num = sr.numeric_backward(surface, grid, cot, h=1e-6, mode="auxnode")
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
@@ -377,7 +377,7 @@ class TestBackwardAuxnode:
         boundary = sr.polygon_boundary_mesh(poly)
         assert np.linalg.det(boundary.element_points()[0]) == 0.0
         grid = sr.build_grid(2, 8)
-        cot = sr.random_spectral_cotangent(grid, rng)
+        cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(boundary, grid, cot)
         num = sr.numeric_backward(boundary, grid, cot, h=1e-6, mode="auxnode")
         sv = max(np.abs(num.d_vertices).max(), 1e-10)

@@ -69,29 +69,29 @@ class TestContent:
 
 class TestDistortion:
     def test_unit_orthogonal_triangle(self):
-        assert sr.distortion_factor(UNIT_TRIANGLE) == pytest.approx(1.0, rel=1e-12)
+        assert oracles.distortion_factor(UNIT_TRIANGLE) == pytest.approx(1.0, rel=1e-12)
 
     def test_area_one_triangle(self):
         pts = [[0, 0], [2, 0], [0, 1]]  # area 1
-        assert sr.distortion_factor(pts) == pytest.approx(2.0, rel=1e-12)
+        assert oracles.distortion_factor(pts) == pytest.approx(2.0, rel=1e-12)
 
     def test_degenerate(self):
-        assert sr.distortion_factor([[0, 0], [1, 0], [2, 0]]) == 0.0
+        assert oracles.distortion_factor([[0, 0], [1, 0], [2, 0]]) == 0.0
 
 
 class TestSignedDistortion:
     def test_identity_jacobian(self):
-        assert sr.signed_distortion([[1, 0], [0, 1]]) == pytest.approx(2.0)
+        assert oracles.signed_distortion([[1, 0], [0, 1]]) == pytest.approx(2.0)
 
     def test_swapped_rows_negate(self):
-        assert sr.signed_distortion([[0, 1], [1, 0]]) == pytest.approx(-2.0)
+        assert oracles.signed_distortion([[0, 1], [1, 0]]) == pytest.approx(-2.0)
 
     def test_unit_axes_3d(self):
-        assert sr.signed_distortion(np.eye(3)) == pytest.approx(6.0)
+        assert oracles.signed_distortion(np.eye(3)) == pytest.approx(6.0)
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            sr.signed_distortion([[1, 0, 0], [0, 1, 0]])
+            oracles.signed_distortion([[1, 0, 0], [0, 1, 0]])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 3), st.integers(0, 10_000))
@@ -101,8 +101,8 @@ class TestSignedDistortion:
         a, b = rng.choice(j, size=2, replace=False)
         swapped = offsets.copy()
         swapped[[a, b]] = swapped[[b, a]]
-        assert sr.signed_distortion(swapped) == pytest.approx(
-            -sr.signed_distortion(offsets), rel=1e-9, abs=1e-12)
+        assert oracles.signed_distortion(swapped) == pytest.approx(
+            -oracles.signed_distortion(offsets), rel=1e-9, abs=1e-12)
 
     def test_magnitude_is_factorial_times_distortion(self):
         # The auxiliary simplex (origin, rows) has distortion |det|; the
@@ -112,8 +112,8 @@ class TestSignedDistortion:
             j = int(rng.integers(2, 4))
             offsets = rng.uniform(-1, 1, (j, j))
             aux = np.vstack([np.zeros(j), offsets])
-            gamma = sr.distortion_factor(aux)
-            assert abs(sr.signed_distortion(offsets)) == pytest.approx(
+            gamma = oracles.distortion_factor(aux)
+            assert abs(oracles.signed_distortion(offsets)) == pytest.approx(
                 math.factorial(j) * gamma, rel=1e-9)
 
 

@@ -46,17 +46,17 @@ class TestSigma:
 
 class TestEvalS:
     def test_single_phase(self):
-        assert sr.eval_S([np.pi]) == pytest.approx(-1.0, abs=1e-12)
+        assert oracles.eval_S([np.pi]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_two_phases(self):
-        assert sr.eval_S([0.0, np.pi]) == pytest.approx(-2.0 / np.pi, abs=1e-12)
+        assert oracles.eval_S([0.0, np.pi]) == pytest.approx(-2.0 / np.pi, abs=1e-12)
 
     def test_triple_zero_confluent(self):
-        assert sr.eval_S([0.0, 0.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
+        assert oracles.eval_S([0.0, 0.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            sr.eval_S([0.0, np.inf])
+            oracles.eval_S([0.0, np.inf])
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-40, 40), min_size=2, max_size=4))
@@ -64,16 +64,16 @@ class TestEvalS:
         gaps = [abs(a - b) for i, a in enumerate(sigmas) for b in sigmas[i + 1:]]
         assume(min(gaps) > 1e-12)
         ref = mp_divided_diff(sigmas)
-        assert sr.eval_S(sigmas) == pytest.approx(ref, abs=1e-10 + 1e-10 * abs(ref))
+        assert oracles.eval_S(sigmas) == pytest.approx(ref, abs=1e-10 + 1e-10 * abs(ref))
 
     def test_confluent_limit_continuity(self):
         # gap swept from 1e-2 to 0: |S(gap) - S(0)| decays monotonically
         # below 1e-4 with no spike at any branch switch
         for base in ([0.0, 1.3], [0.0, 0.9, 2.2], [0.0, 0.4, 1.1, 2.7]):
             base = np.array(base)
-            s0 = sr.eval_S(base)
+            s0 = oracles.eval_S(base)
             gaps = np.logspace(-2, -9, 36)
-            dist = [abs(sr.eval_S(base + g * np.arange(len(base))) - s0) for g in gaps]
+            dist = [abs(oracles.eval_S(base + g * np.arange(len(base))) - s0) for g in gaps]
             below = [d for g, d in zip(gaps, dist) if g <= 1e-4]
             assert all(x >= y - 1e-13 for x, y in zip(below, below[1:]))
             assert dist[-1] < 1e-8
@@ -90,8 +90,8 @@ class TestEvalS:
            st.integers(0, 10_000))
     def test_symmetric_under_phase_permutation(self, sigmas, seed):
         perm = np.random.default_rng(seed).permutation(len(sigmas))
-        a = sr.eval_S(sigmas)
-        b = sr.eval_S(np.asarray(sigmas)[perm])
+        a = oracles.eval_S(sigmas)
+        b = oracles.eval_S(np.asarray(sigmas)[perm])
         assert b == pytest.approx(a, abs=1e-11 + 1e-11 * abs(a))
 
 

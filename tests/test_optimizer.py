@@ -129,6 +129,39 @@ class TestFit:
                           schedule=sr.Schedule(step=1e-3), variable="pose")
 
 
+class TestLoopCheck:
+    """``mres_smooth`` reads a boundary mesh as the loop of its vertex list,
+    so a mesh wired in another vertex order is refused, not fitted as a
+    different shape."""
+
+    # the square's corners stored as p0, p2, p1, p3, wired p0-p1-p2-p3
+    PERMUTED = sr.SimplexMesh(2, 1, SQUARE[[0, 2, 1, 3]], [[0, 2], [2, 1], [1, 3], [3, 0]],
+                              np.ones(4))
+
+    def problem(self, mesh, target):
+        return sr.FitProblem(
+            mesh=mesh, target=target, config=sr.RasterizeConfig(resolution=32, mode="auxnode"),
+            schedule=sr.Schedule(step=2e-4, max_iters=2), loss="mres_smooth",
+            mres_resolutions=(32,))
+
+    def test_permuted_mesh_is_a_valid_boundary(self):
+        raster = sr.rasterize(self.PERMUTED, sr.RasterizeConfig(resolution=32, mode="auxnode"))
+        assert raster.values.mean() == pytest.approx(0.09, abs=1e-6)
+
+    @pytest.mark.parametrize("role", ["start", "target"])
+    def test_out_of_order_loop_rejected(self, role):
+        plain = sr.polygon_boundary_mesh(SQUARE)
+        meshes = (self.PERMUTED, plain) if role == "start" else (plain, self.PERMUTED)
+        with pytest.raises(sr.MeshValidationError, match="edges"):
+            sr.make_objective(self.problem(*meshes))
+
+    def test_loop_wired_in_any_order_and_direction(self):
+        shuffled = sr.SimplexMesh(2, 1, SQUARE, [[2, 1], [0, 3], [1, 0], [3, 2]], np.ones(4))
+        value, grad = sr.make_objective(self.problem(shuffled, shuffled))(
+            SQUARE.reshape(-1).copy())
+        assert value == 0.0 and np.all(grad == 0.0)
+
+
 def mres_problem(start, max_iters=30):
     return sr.FitProblem(
         mesh=sr.polygon_boundary_mesh(start),

@@ -233,10 +233,6 @@ class TestPolygonHelpers:
         assert sr.polygon_signed_area(SQUARE) == pytest.approx(0.16)
         assert sr.polygon_signed_area(SQUARE[::-1]) == pytest.approx(-0.16)
 
-    def test_ensure_ccw(self):
-        assert np.allclose(sr.ensure_ccw(SQUARE[::-1]), SQUARE[::-1][::-1])
-        assert sr.polygon_signed_area(sr.ensure_ccw(SQUARE[::-1])) > 0
-
     def test_boundary_mesh(self):
         mesh = sr.polygon_boundary_mesh(SQUARE, density=2.0)
         assert mesh.degree == 1 and mesh.n_elements == 4

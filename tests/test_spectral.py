@@ -59,18 +59,18 @@ class TestGaussianFilter:
 
     def test_vanishing_width_is_identity(self, rng):
         grid = sr.build_grid(2, 8)
-        field = sr.random_spectral_cotangent(grid, rng)
+        field = oracles.random_spectral_cotangent(grid, rng)
         out = sr.apply_filter(field, sr.gaussian_filter(grid, 1e-9))
         assert np.allclose(out.coeffs, field.coeffs, rtol=0, atol=1e-12)
 
     def test_dc_unchanged(self, rng):
         grid = sr.build_grid(2, 8)
-        field = sr.random_spectral_cotangent(grid, rng)
+        field = oracles.random_spectral_cotangent(grid, rng)
         out = sr.apply_filter(field, sr.gaussian_filter(grid, 3.0))
         assert out.dc == pytest.approx(field.dc)
 
     def test_grid_mismatch(self, rng):
-        field = sr.random_spectral_cotangent(sr.build_grid(2, 8), rng)
+        field = oracles.random_spectral_cotangent(sr.build_grid(2, 8), rng)
         with pytest.raises(ValueError):
             sr.apply_filter(field, sr.gaussian_filter(sr.build_grid(2, 16), 2.0))
 
@@ -97,8 +97,8 @@ class TestInverseTransform:
 
     def test_linearity(self, rng):
         grid = sr.build_grid(2, 8)
-        f1 = sr.random_spectral_cotangent(grid, rng)
-        f2 = sr.random_spectral_cotangent(grid, rng)
+        f1 = oracles.random_spectral_cotangent(grid, rng)
+        f2 = oracles.random_spectral_cotangent(grid, rng)
         mix = sr.SpectralField(grid, 2.0 * f1.coeffs - 0.5 * f2.coeffs)
         lhs = sr.inverse_transform(mix).values
         rhs = 2.0 * sr.inverse_transform(f1).values - 0.5 * sr.inverse_transform(f2).values
@@ -114,7 +114,7 @@ class TestInverseTransform:
     def test_fast_matches_direct_summation(self, rng):
         for d, r, c in [(2, 4, 1), (2, 8, 2), (3, 8, 1), (2, 5, 1)]:
             grid = sr.build_grid(d, r)
-            field = sr.random_spectral_cotangent(grid, rng, channels=c)
+            field = oracles.random_spectral_cotangent(grid, rng, channels=c)
             fast = sr.inverse_transform(field).values
             direct = oracles.inverse_transform_direct(field).values
             assert np.abs(fast - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
@@ -134,7 +134,7 @@ class TestAdjoint:
         for r in (4, 8, 16, 32):
             grid = sr.build_grid(2, r)
             for _ in range(20 if r == 8 else 5):
-                field = sr.random_spectral_cotangent(grid, rng)
+                field = oracles.random_spectral_cotangent(grid, rng)
                 g = rng.standard_normal((r, r, 1))
                 lhs = float(np.sum(sr.inverse_transform(field).values * g))
                 rhs = sr.spectral_inner(field, sr.adjoint_transform(g, grid))
@@ -142,7 +142,7 @@ class TestAdjoint:
 
     def test_adjoint_identity_3d(self, rng):
         grid = sr.build_grid(3, 8)
-        field = sr.random_spectral_cotangent(grid, rng)
+        field = oracles.random_spectral_cotangent(grid, rng)
         g = rng.standard_normal((8, 8, 8, 1))
         lhs = float(np.sum(sr.inverse_transform(field).values * g))
         rhs = sr.spectral_inner(field, sr.adjoint_transform(g, grid))
