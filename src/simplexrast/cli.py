@@ -264,11 +264,13 @@ def cmd_subdivide(args) -> int:
             deltas = np.full(polygon.shape[:1], args.delta)
     except TypeError as exc:  # e.g. an object where numbers belong
         raise ValueError(f"polygon or deltas have a value of the wrong type: {exc}") from exc
+    if not (np.isfinite(polygon).all() and np.isfinite(deltas).all()):
+        raise ValueError("polygon and deltas must be finite")
     refined = polygon_subdivide(polygon, deltas)
     n_edges = polygon.shape[0]
+    text = json.dumps({"polygon": refined.tolist()}, allow_nan=False)  # fails before any write
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"polygon": refined.tolist()}, fh, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"subdivided {n_edges} -> {refined.shape[0]} vertices")
     return EXIT_OK
 

@@ -25,9 +25,8 @@ from .meshcore import DegenerateElementError, SimplexMesh, _weight_gradients
 from .nuft import (
     _I_POW,
     _checked_elements,
-    _divided_diff_series,
+    _dd_table,
     _gap_kernel,
-    _route_kernel,
     _run_chunks,
     _tile_phases,
     _tiles,
@@ -81,13 +80,14 @@ def _kernel_coefs(sig):
     # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
     gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
     risky = lk.unsafe | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
-    if risky.any():
-        bad = sig[:, risky].T
-        # one table build over all slots: row p gets its node repeated
-        rep = np.broadcast_to(bad[:, None, :], (bad.shape[0], n, n))
-        nodes = np.concatenate([rep, bad[:, :, None]], axis=2)
-        coefs[:, risky] = _divided_diff_series(nodes.reshape(-1, n + 1)).reshape(-1, n).T
-    return _route_kernel(sig, lk), coefs
+    s = lk.s
+    if risky.any():  # one table per risky row: every slot, and the unsafe kernels
+        kernel, slot = _dd_table(sig[:, risky].T, True)
+        coefs[:, risky] = slot.T
+        if lk.unsafe.any():
+            s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
+            s[lk.unsafe] = kernel[lk.unsafe[risky]]
+    return s, coefs
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,

@@ -325,6 +325,6 @@ def load_mesh(path) -> SimplexMesh:
 
 
 def save_mesh(mesh: SimplexMesh, path) -> None:
+    text = json.dumps(mesh_to_dict(mesh), allow_nan=False)  # fails before any write
     with open(Path(path), "w", encoding="utf-8") as f:
-        json.dump(mesh_to_dict(mesh), f, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")

@@ -16,6 +16,7 @@ mode, and axis-aligned geometry hits them on whole mode rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -82,58 +83,97 @@ def _thread_count(workers: int, n_tiles: int) -> int:
 # divided differences of exp(-i s)
 
 def _homogeneous_sums(u: np.ndarray) -> np.ndarray:
-    """Complete homogeneous symmetric sums h_0..h_{T-1} of the last axis."""
-    out = np.zeros(u.shape[:-1] + (_SERIES_TERMS,))
-    out[..., 0] = 1.0
-    for q in range(u.shape[-1]):
-        uq = u[..., q]
+    """Complete homogeneous symmetric sums h_0..h_{T-1} of node-major u
+    (q, ...), terms last."""
+    out = np.zeros((_SERIES_TERMS,) + u.shape[1:])
+    out[0] = 1.0
+    for uq in u:
         for r in range(1, _SERIES_TERMS):
-            out[..., r] += uq * out[..., r - 1]
-    return out
+            out[r] += uq * out[r - 1]
+    return np.moveaxis(out, 0, -1)
 
 
 def _dd_series_entry(z: np.ndarray, width: int) -> np.ndarray:
-    """Series value of the divided difference over all width+1 nodes of z."""
-    center = 0.5 * (z[..., 0] + z[..., -1])
-    h = _homogeneous_sums(z - center[..., None])
+    """Series value of the divided difference over all width+1 nodes of the
+    node-major z (width+1, ...), sorted along the node axis."""
+    center = 0.5 * (z[0] + z[-1])
+    h = _homogeneous_sums(z - center)
     r_idx = np.arange(_SERIES_TERMS)
     coef = _NEG_I_POW[(width + r_idx) % 4] / _FACTORIALS[width + r_idx]
     return np.exp(-1j * center) * (h @ coef)
 
 
-def _divided_diff_series(z: np.ndarray) -> np.ndarray:
-    """Divided difference of exp(-i s) over each row's node multiset.
+@functools.lru_cache(maxsize=None)
+def _table_plan(n: int, slots: bool) -> tuple:
+    """Static divided-difference table over n sorted node columns, per width:
+    each entry's node columns and the rows of its two sub-entries (the
+    columns minus the last, minus the first) in the previous width.
 
-    Accurate for arbitrarily close or repeated nodes.  Builds the full
-    table over sorted nodes; entries whose span fits ``_SERIES_SPAN`` come
-    from a Taylor series around the local midpoint (exact offsets, so no
-    snapping error), wider entries from the recurrence, whose denominator
-    is then never small.  Two-node entries have the uniformly stable
-    closed form -i exp(-i center) sin(half-gap)/half-gap.
+    Sequence 0 is the sorted nodes; with ``slots``, sequence q+1 repeats
+    position q.  An entry of sequence q+1 that does not cover both copies
+    of q is an entry of sequence 0, so entries are kept once per column
+    tuple.  The kernel is row 0 of width n-1, slot q row q of width n.
     """
-    z = np.sort(np.asarray(z, dtype=np.float64), axis=-1)
+    seqs = [tuple(range(n))] + [tuple(range(q + 1)) + tuple(range(q, n))
+                                for q in range(n) if slots]
+    plan, rows = [], {}
+    for width in range(n + slots):
+        cols = list(dict.fromkeys(s[i:i + width + 1] for s in seqs
+                                  for i in range(len(s) - width)))
+        rows.update((c, r) for r, c in enumerate(cols))
+        plan.append((np.array(cols), [rows[c[:-1]] for c in cols] if width else None,
+                     [rows[c[1:]] for c in cols] if width else None))
+    return tuple(plan)
+
+
+def _dd_table(z: np.ndarray, slots: bool):
+    """Divided difference of exp(-i s) over the nodes of each phase row of
+    z (rows, n), accurate for arbitrarily close or repeated nodes; with
+    ``slots`` also, per input column p, the one with node p repeated (the
+    phase derivatives).
+
+    One table over the sorted nodes serves the kernel and every slot, one
+    width at a time.  Entries whose span fits ``_SERIES_SPAN`` come from a
+    Taylor series around the local midpoint (exact offsets, so no snapping
+    error), wider entries from the recurrence, whose denominator is then
+    never small.  Two-node entries have the uniformly stable closed form
+    -i exp(-i center) sin(half-gap)/half-gap.  Returns the kernel (rows,),
+    or the kernel and the slots (rows, n).
+    """
+    z = np.asarray(z, dtype=np.float64)
     n = z.shape[-1]
-    if n == 1:
-        return np.exp(-1j * z[..., 0])
-    table = {(i, i): np.exp(-1j * z[..., i]) for i in range(n)}
-    for i in range(n - 1):
-        center = 0.5 * (z[..., i] + z[..., i + 1])
-        half = 0.5 * (z[..., i + 1] - z[..., i])
-        table[(i, i + 1)] = -1j * np.exp(-1j * center) * np.sinc(half / np.pi)
-    for width in range(2, n):
-        for i in range(n - width):
-            k = i + width
-            span = z[..., k] - z[..., i]
-            narrow = span <= _SERIES_SPAN
-            out = np.empty(span.shape, dtype=np.complex128)
-            if narrow.any():
-                out[narrow] = _dd_series_entry(z[narrow][..., i:k + 1], width)
-            wide = ~narrow
-            if wide.any():
-                out[wide] = ((table[(i + 1, k)][wide] - table[(i, k - 1)][wide])
-                             / span[wide])
-            table[(i, k)] = out
-    return table[(0, n - 1)]
+    if slots:
+        order = np.argsort(z, axis=-1)
+        z = np.take_along_axis(z, order, axis=-1)
+    else:
+        z = np.sort(z, axis=-1)
+    z = np.ascontiguousarray(z.T)  # node-major: an entry gathers whole rows
+    for width, (cols, left, right) in enumerate(_table_plan(n, slots)):
+        lo, hi = z[cols[:, 0]], z[cols[:, -1]]
+        if width == 0:  # the leaves; wider entries never read them
+            table = np.exp(-1j * lo) if n == 1 else None
+        elif width == 1:
+            center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            table = -1j * np.exp(-1j * center) * np.sinc(half / np.pi)
+        else:
+            span = hi - lo
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                table = (table[right] - table[left]) / span
+            e, r = np.nonzero(span <= _SERIES_SPAN)
+            if e.size:  # the narrow entries overwrite their rows
+                table[e, r] = _dd_series_entry(z[cols[e].T, r], width)
+        if width == n - 1:
+            kernel = table[0]
+    if not slots:
+        return kernel
+    out = np.empty(table.shape[::-1], dtype=np.complex128)
+    np.put_along_axis(out, order, table.T, axis=-1)
+    return kernel, out
+
+
+def _divided_diff_series(z: np.ndarray) -> np.ndarray:
+    """Divided difference of exp(-i s) over each row's node multiset."""
+    return _dd_table(z, False)
 
 
 class LagrangeKernel(NamedTuple):

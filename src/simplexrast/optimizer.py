@@ -73,6 +73,10 @@ class FitProblem:
             raise ValueError("rig variable needs a ControlRig")
         if self.variable == "pose" and self.pose is None:
             raise ValueError("pose variable needs a PoseQuat")
+        dim = {"rig": 2, "pose": 3}.get(self.variable)  # the rig is planar, the pose 3D
+        if dim is not None and self.mesh.dim != dim:
+            raise ValueError(f"{self.variable} variable needs a {dim}D mesh, "
+                             f"got dim={self.mesh.dim}")
         if self.loss == "mres_smooth":
             if self.mesh.degree != 1 or self.mesh.dim != 2:
                 raise ValueError("mres_smooth loss runs on a polygon boundary mesh")

@@ -15,7 +15,13 @@ import numpy as np
 
 from simplexrast.gradients import _DS_AMP_MAX, _kernel_coefs
 from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError, content
-from simplexrast.nuft import _I_POW, _divided_diff_series, _gap_kernel, _route_kernel
+from simplexrast.nuft import (
+    _I_POW,
+    _SERIES_SPAN,
+    _dd_series_entry,
+    _gap_kernel,
+    _route_kernel,
+)
 from simplexrast.pipeline import rasterize
 from simplexrast.spectral import Raster, SpectralField
 
@@ -60,6 +66,49 @@ def kernel_batch(sig):
     the coefficients keep that layout."""
     s, coefs = _kernel_coefs(np.moveaxis(sig, -1, 0))
     return s, np.moveaxis(coefs, 0, -1)
+
+
+def divided_diff_table(z: np.ndarray) -> np.ndarray:
+    """Reference divided difference of exp(-i s) over each row's node
+    multiset: one full table per row, entry by entry, in a dict.
+
+    Same entry rules as the library's shared table (leaves, the two-node
+    closed form, the series for spans within ``_SERIES_SPAN``, the
+    recurrence above), but nothing is shared between rows of different
+    node multisets, so a derivative slot is a separate row with its node
+    repeated.
+    """
+    z = np.sort(np.asarray(z, dtype=np.float64), axis=-1)
+    n = z.shape[-1]
+    if n == 1:
+        return np.exp(-1j * z[..., 0])
+    table = {(i, i): np.exp(-1j * z[..., i]) for i in range(n)}
+    for i in range(n - 1):
+        center = 0.5 * (z[..., i] + z[..., i + 1])
+        half = 0.5 * (z[..., i + 1] - z[..., i])
+        table[(i, i + 1)] = -1j * np.exp(-1j * center) * np.sinc(half / np.pi)
+    for width in range(2, n):
+        for i in range(n - width):
+            k = i + width
+            span = z[..., k] - z[..., i]
+            narrow = span <= _SERIES_SPAN
+            out = np.empty(span.shape, dtype=np.complex128)
+            if narrow.any():
+                out[narrow] = _dd_series_entry(z[narrow][..., i:k + 1].T, width)
+            wide = ~narrow
+            if wide.any():
+                out[wide] = ((table[(i + 1, k)][wide] - table[(i, k - 1)][wide])
+                             / span[wide])
+            table[(i, k)] = out
+    return table[(0, n - 1)]
+
+
+def slot_tables(z: np.ndarray) -> np.ndarray:
+    """Reference phase derivatives of rows z (rows, n): column p is the
+    divided difference with node p repeated, one reference table each."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.stack([divided_diff_table(np.concatenate([z, z[:, p:p + 1]], axis=1))
+                     for p in range(z.shape[1])], axis=1)
 
 
 def distortion_factor(points) -> float:
@@ -220,13 +269,13 @@ def dgamma_dx(points, p: int, strict: bool = False) -> np.ndarray:
 def _kernel_and_coef(sig: np.ndarray, p: int) -> tuple[complex, complex]:
     lk = lagrange_terms(sig[None])
     if lk.unsafe[0]:
-        kernel = complex(_divided_diff_series(sig[None])[0])
+        kernel = complex(divided_diff_table(sig[None])[0])
     else:
         kernel = complex(lk.s[0])
     gap = min(max(float(lk.min_gap[0]), 1e-300), 1e6)
     if lk.unsafe[0] or float(lk.amp[0]) * (gap + 2.0) >= _DS_AMP_MAX * gap:
         # d(kernel)/d(sigma_p): the divided difference with node p repeated
-        coef = complex(_divided_diff_series(np.append(sig, sig[p])[None])[0])
+        coef = complex(divided_diff_table(np.append(sig, sig[p])[None])[0])
     else:
         gaps = sig - sig[p]
         gaps[p] = 1.0

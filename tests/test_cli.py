@@ -345,6 +345,23 @@ class TestMalformedInput:
         assert main(["fit", "--problem", str(path), "--out", str(tmp_path / "run")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_pose_on_2d_mesh_exit_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), variable="pose"))
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        assert "pose variable needs a 3D mesh, got dim=2" in capsys.readouterr().err
+
+    def test_rig_on_3d_mesh_exit_1(self, tmp_path, capsys):
+        tet = {"dim": 3, "degree": 3, "elements": [[0, 1, 2, 3]], "densities": [1.0],
+               "vertices": [[0.2, 0.2, 0.2], [0.7, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.2, 0.7]]}
+        spec = dict(_square_fit_spec(tmp_path), variable="rig", mode="simplex",
+                    mesh=write_json(tmp_path / "tet.json", tet),
+                    target_mesh=write_json(tmp_path / "tet.json", tet),
+                    # 12 coordinates read as 6 planar rig vertices
+                    rig={"centers": [[0.5, 0.5]], "weights": [[1.0]] * 6})
+        path = write_json(tmp_path / "p.json", spec)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        assert "rig variable needs a 2D mesh, got dim=3" in capsys.readouterr().err
+
     def test_fit_top_level_array_exit_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", [1, 2])
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
@@ -371,6 +388,21 @@ class TestMalformedInput:
             args += ["--deltas", write_json(tmp_path / "d.json", deltas)]
         assert main(args) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("polygon,deltas", [
+        ([[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.3, float("nan")]], None),
+        (SQUARE, [0.05, float("inf"), 0.05, 0.05]),
+    ])
+    def test_subdivide_non_finite_exit_1_without_output(self, tmp_path, capsys, polygon,
+                                                        deltas):
+        out = tmp_path / "o.json"
+        args = ["subdivide", "--polygon", write_json(tmp_path / "poly.json", {"polygon": polygon}),
+                "--out", str(out)]
+        if deltas is not None:
+            args += ["--deltas", write_json(tmp_path / "d.json", deltas)]
+        assert main(args) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 FIT_KEYS = ["mesh", "target_mesh", "target_raster", "resolution", "filter_width", "mode",

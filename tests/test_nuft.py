@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simplexrast as sr
-from simplexrast.nuft import _divided_diff_series
+from simplexrast.gradients import _DS_AMP_MAX, _kernel_coefs
+from simplexrast.nuft import _dd_table, _divided_diff_series, _table_plan
 import oracles
-from conftest import mp_divided_diff
+from conftest import mp_confluent_diff, mp_divided_diff
 
 TWO_PI = 2.0 * np.pi
 UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -93,6 +94,72 @@ class TestEvalS:
         a = oracles.eval_S(sigmas)
         b = oracles.eval_S(np.asarray(sigmas)[perm])
         assert b == pytest.approx(a, abs=1e-11 + 1e-11 * abs(a))
+
+
+def confluent_rows(rng, n, rows=200):
+    """Unsorted phase rows with exact pairs, triples, 2+2 clusters, ties and
+    near-confluent clusters at gaps from 1e-12 up, phases up to +-100."""
+    z = rng.uniform(-100, 100, (rows, 1)) + rng.uniform(-3, 3, (rows, n))
+    gaps = 10.0 ** rng.uniform(-12, 0, rows)
+    for r, kind in enumerate(rng.integers(0, 6, rows)):
+        if kind == 1 and n >= 2:
+            z[r, 1] = z[r, 0]
+        elif kind == 2 and n >= 3:
+            z[r, 1:3] = z[r, 0]
+        elif kind == 3 and n >= 4:
+            z[r, 1], z[r, 3] = z[r, 0], z[r, 2] + gaps[r]
+        elif kind == 4:
+            z[r] = z[r, 0] + gaps[r] * rng.integers(-2, 3, n)
+        elif kind == 5:  # two exact ties and a near one
+            z[r] = z[r, 0] + gaps[r] * np.array([0, 0, 1, 0])[:n]
+        z[r] = rng.permutation(z[r])
+    return z
+
+
+def risky_rows(z):
+    """The rows the kernel derivative routes to the tables (oracle rule)."""
+    lk = oracles.lagrange_terms(z)
+    gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
+    return lk.unsafe, lk.unsafe | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
+
+
+class TestSharedTable:
+    """One sorted table per row serves the kernel and every derivative slot."""
+
+    @pytest.mark.parametrize("n, kernel_only, with_slots", [(2, 3, 7), (3, 6, 16), (4, 10, 30)])
+    def test_plan_entry_counts(self, n, kernel_only, with_slots):
+        def entries(slots):
+            return sum(len(cols) for cols, _, _ in _table_plan(n, slots))
+        assert (entries(False), entries(True)) == (kernel_only, with_slots)
+
+    def test_matches_reference_tables_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for batch in range(48):
+            n = 1 + batch % 4
+            z = confluent_rows(rng, n)
+            ref = oracles.divided_diff_table(z)
+            ref_slots = oracles.slot_tables(z)
+            assert np.array_equal(_divided_diff_series(z), ref)
+            kernel, slots = _dd_table(z, True)
+            assert np.array_equal(kernel, ref)
+            assert np.array_equal(slots, ref_slots)
+            unsafe, risky = risky_rows(z)
+            s, coefs = _kernel_coefs(z.T)
+            assert np.array_equal(coefs.T[risky], ref_slots[risky])
+            assert np.array_equal(s[unsafe], ref[unsafe])
+
+    def test_lattice_rows_match_high_precision(self):
+        # phases of Kuhn-lattice tetrahedra at integer modes: exact pairs,
+        # triples and near-pairs, as axis-aligned geometry produces them
+        x = np.array([[0.1, 0.1, 0.1], [0.5, 0.1, 0.1], [0.5, 0.5, 0.1], [0.5, 0.5, 0.5]])
+        modes = [(0, 0, 0), (1, 0, 0), (0, 3, 0), (2, -1, 0), (0, 0, 5), (4, 4, -7), (1, 1, 1)]
+        z = np.array([x @ (TWO_PI * np.array(m, float)) for m in modes])
+        z = np.vstack([z, z + [0.0, 0.0, 1e-9, 0.0]])
+        kernel, slots = _dd_table(z, True)
+        for row, k, sl in zip(z, kernel, slots):
+            assert abs(k - mp_confluent_diff(row)) < 1e-12
+            for p in range(len(row)):
+                assert abs(sl[p] - mp_confluent_diff(np.append(row, row[p]))) < 1e-12
 
 
 class TestForwardElement:

@@ -128,6 +128,18 @@ class TestFit:
                           target=None, config=sr.RasterizeConfig(resolution=8),
                           schedule=sr.Schedule(step=1e-3), variable="pose")
 
+    def test_variable_needs_its_mesh_dimension(self):
+        tet = sr.SimplexMesh(3, 3, np.eye(4)[:, 1:] * 0.5 + 0.2, np.array([[0, 1, 2, 3]]),
+                             np.ones(1))
+        common = dict(target=None, config=sr.RasterizeConfig(resolution=8),
+                      schedule=sr.Schedule(step=1e-3))
+        with pytest.raises(ValueError, match="pose variable needs a 3D mesh, got dim=2"):
+            sr.FitProblem(mesh=sr.polygon_boundary_mesh(SQUARE), variable="pose",
+                          pose=sr.PoseQuat([1, 0, 0, 0], [0, 0, 0]), **common)
+        with pytest.raises(ValueError, match="rig variable needs a 2D mesh, got dim=3"):
+            sr.FitProblem(mesh=tet, variable="rig",
+                          rig=sr.make_rig(SQUARE, centers=[[0.5, 0.5]]), **common)
+
 
 class TestLoopCheck:
     """``mres_smooth`` reads a boundary mesh as the loop of its vertex list,
