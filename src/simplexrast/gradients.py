@@ -22,23 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshcore import DegenerateElementError, SimplexMesh, _weight_gradients
-from .nuft import (
-    _I_POW,
-    _checked_elements,
-    _dd_table,
-    _gap_kernel,
-    _run_chunks,
-    _tile_phases,
-    _tiles,
-    forward_auxnode,
-    forward_mesh,
-    resolve_workers,
-)
+from .nuft import _I_POW, _checked_elements, _sweep, forward_auxnode, forward_mesh
 from .spectral import SpectralField, SpectralGrid, spectral_inner
-
-# Lagrange kernel-derivative error grows by an extra 1/gap over the kernel
-# itself; route to the stable path before that amplification bites.
-_DS_AMP_MAX = 1e5
 
 
 @dataclass
@@ -54,40 +39,6 @@ class MeshGradient:
 
     def scaled(self, a: float) -> "MeshGradient":
         return MeshGradient(a * self.d_vertices, a * self.d_densities)
-
-
-# ---------------------------------------------------------------------------
-# batched kernel derivatives (shared by the mesh-level backward passes)
-
-def _kernel_coefs(sig):
-    """Kernel values plus derivative coefficients per node slot, both
-    stability-routed, for node-major phase slices sig (n, ...).
-
-    The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p):
-    each gap g_tl (t < l) adds u = (S_t + S_l) / g_tl to slot l and
-    subtracts it from slot t, reusing the kernel's own terms and gaps.
-    """
-    n = sig.shape[0]
-    lk, gaps = _gap_kernel(sig)
-    terms = lk.terms
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coefs = -1j * terms
-        for q, (t, l) in enumerate(zip(*np.triu_indices(n, 1))):
-            u = terms[t] + terms[l]
-            u *= 1.0 / gaps[q]
-            coefs[l] += u
-            coefs[t] -= u
-    # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
-    gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
-    risky = lk.unsafe | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
-    s = lk.s
-    if risky.any():  # one table per risky row: every slot, and the unsafe kernels
-        kernel, slot = _dd_table(sig[:, risky].T, True)
-        coefs[:, risky] = slot.T
-        if lk.unsafe.any():
-            s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
-            s[lk.unsafe] = kernel[lk.unsafe[risky]]
-    return s, coefs
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
@@ -106,24 +57,22 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     wavevectors, dens = grid.wavevectors, mesh.densities
     # cotangent and fold weights as one per-(mode, channel) factor
     wcot = grid.fold_weights[:, None] * np.conj(cotangent.coeffs)
-    plan = _tiles(n_e, grid.n_modes)
 
-    def run(tiles):
+    def reduce(tiles):
         """This worker's sums over its modes: a_e = sum ghat S, the kernel
         part b_epd = sum ghat coef_p k_d (auxiliary origin slot dropped, it
         is fixed) and the density rows sum S w conj(G)."""
         a = np.zeros(n_e, dtype=np.complex128)
         b = np.zeros((slots, n_e, d), dtype=np.complex128)
         dd = np.zeros((n_e, mesh.channels), dtype=np.complex128)
-        for elems, modes, sig in _tile_phases(pts, wavevectors, auxnode, plan, tiles):
-            s, coefs = _kernel_coefs(sig)
+        for elems, modes, (s, coefs) in tiles:
             ghat = dens[elems] @ wcot[modes].T
             a[elems] += np.einsum("em,em->e", ghat, s)
             b[:, elems] += (ghat * coefs[int(auxnode):]) @ wavevectors[modes]
             dd[elems] += s @ wcot[modes]
         return a, b, dd
 
-    parts = _run_chunks(len(plan[1]) - 1, run, resolve_workers(workers))
+    parts = _sweep(pts, wavevectors, auxnode, True, workers, reduce)
     a, b, dd = parts[0]
     for part in parts[1:]:  # worker order
         a, b, dd = a + part[0], b + part[1], dd + part[2]

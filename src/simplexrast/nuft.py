@@ -44,6 +44,10 @@ EPS_CONFLUENT = 1e-5
 # ~1e-12, not only at exact collisions.
 _LAGRANGE_AMP_MAX = 1e4
 
+# Lagrange kernel-derivative error grows by an extra 1/gap over the kernel
+# itself; route to the stable path before that amplification bites.
+_DS_AMP_MAX = 1e5
+
 # Contiguous node groups spanning less than this evaluate via the local
 # series; the table recurrence then never divides by anything smaller.
 _SERIES_SPAN = 0.25
@@ -171,11 +175,6 @@ def _dd_table(z: np.ndarray, slots: bool):
     return kernel, out
 
 
-def _divided_diff_series(z: np.ndarray) -> np.ndarray:
-    """Divided difference of exp(-i s) over each row's node multiset."""
-    return _dd_table(z, False)
-
-
 class LagrangeKernel(NamedTuple):
     """Lagrange-form kernel pieces for a batch of phase rows."""
 
@@ -215,14 +214,41 @@ def _gap_kernel(sig: np.ndarray):
     return LagrangeKernel(s, terms, min_gap, amp, unsafe), gaps
 
 
-def _route_kernel(sig: np.ndarray, lk: LagrangeKernel) -> np.ndarray:
-    """Kernel S of node-major phase slices: the Lagrange sum, with unsafe
-    rows taken from the confluent series."""
+def _kernel(sig: np.ndarray, slots: bool):
+    """Kernel S of node-major phase slices sig (n, ...), stability-routed;
+    with ``slots`` also the derivative coefficient per node slot (n, ...).
+
+    The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p):
+    each gap g_tl (t < l) adds u = (S_t + S_l) / g_tl to slot l and
+    subtracts it from slot t, reusing the kernel's own terms and gaps.
+    Unsafe rows, and with ``slots`` the risky rows the derivative's extra
+    1/gap would spoil, take one table each (``_dd_table``): it patches the
+    unsafe kernels and every risky slot.  Returns s, or (s, coefs).
+    """
+    lk, gaps = _gap_kernel(sig)
+    risky = lk.unsafe
+    if slots:
+        terms = lk.terms
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            coefs = -1j * terms
+            for q, (t, l) in enumerate(zip(*np.triu_indices(sig.shape[0], 1))):
+                u = terms[t] + terms[l]
+                u *= 1.0 / gaps[q]
+                coefs[l] += u
+                coefs[t] -= u
+        # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
+        gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
+        risky = risky | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
     s = lk.s
-    if lk.unsafe.any():
-        s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
-        s[lk.unsafe] = _divided_diff_series(sig[:, lk.unsafe].T)
-    return s
+    if risky.any():
+        kernel = _dd_table(sig[:, risky].T, slots)
+        if slots:
+            kernel, slot = kernel
+            coefs[:, risky] = slot.T
+        if lk.unsafe.any():
+            s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
+            s[lk.unsafe] = kernel[lk.unsafe[risky]]
+    return (s, coefs) if slots else s
 
 
 # ---------------------------------------------------------------------------
@@ -276,45 +302,43 @@ def _tiles(n_elements: int, n_modes: int):
     return e_bounds, np.arange(tiles + 1) * n_modes // tiles
 
 
-def _tile_phases(pts, wavevectors, auxnode: bool, plan, tiles):
-    """Per element block of each listed mode tile, in order: the element
-    span, the mode span and the node-major phase slices."""
-    e_bounds, m_bounds = plan
-    for t in tiles:
-        modes = slice(m_bounds[t], m_bounds[t + 1])
-        for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
-            yield slice(e0, e1), modes, _phases(pts[e0:e1], wavevectors[modes], auxnode)
+def _sweep(pts, wavevectors, auxnode: bool, slots: bool, workers, reduce) -> list:
+    """Run ``_kernel(sig, slots)`` over every tile and return each worker's
+    ``reduce`` result, in worker order.
 
-
-def _run_chunks(n_tiles: int, worker_fn, workers: int) -> list:
-    """Hand the mode tiles to the workers and return their results in
-    worker order.
-
-    Worker w gets tiles w, w + W, w + 2W, ... and runs them in order.  The
-    assignment is static, so a fixed worker count gives the same result on
-    every run.
+    ``reduce`` gets a generator of (element span, mode span, kernel) over
+    its worker's tiles.  Worker w gets mode tiles w, w + W, w + 2W, ... and
+    runs each tile's element blocks in order.  The assignment is static,
+    so a fixed worker count gives the same result on every run.
     """
-    workers = _thread_count(workers, n_tiles)
-    shares = [range(w, n_tiles, workers) for w in range(workers)]
+    e_bounds, m_bounds = _tiles(len(pts), len(wavevectors))
+    n_tiles = len(m_bounds) - 1
+    workers = _thread_count(resolve_workers(workers), n_tiles)
+
+    def tiles(w):
+        for t in range(w, n_tiles, workers):
+            modes = slice(m_bounds[t], m_bounds[t + 1])
+            for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
+                sig = _phases(pts[e0:e1], wavevectors[modes], auxnode)
+                yield slice(e0, e1), modes, _kernel(sig, slots)
+
     if workers == 1:
-        return [worker_fn(shares[0])]
+        return [reduce(tiles(0))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker_fn, shares))
+        return list(pool.map(lambda w: reduce(tiles(w)), range(workers)))
 
 
 def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:
     pts, weights = _checked_elements(mesh, grid, auxnode)
     # i**j, the weight and the densities as one factor per (element, channel)
     factor = _I_POW[(pts.shape[1] - 1 + auxnode) % 4] * weights[:, None] * mesh.densities
-    plan = _tiles(mesh.n_elements, grid.n_modes)
     coeffs = np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128)
 
-    def run(tiles):  # each mode tile writes only its own rows of coeffs
-        for elems, modes, sig in _tile_phases(pts, grid.wavevectors, auxnode, plan, tiles):
-            s = _route_kernel(sig, _gap_kernel(sig)[0])
+    def reduce(tiles):  # each mode tile writes only its own rows of coeffs
+        for elems, modes, s in tiles:
             coeffs[modes] += s.T @ factor[elems]
 
-    _run_chunks(len(plan[1]) - 1, run, resolve_workers(workers))
+    _sweep(pts, grid.wavevectors, auxnode, False, workers, reduce)
     return SpectralField(grid, coeffs)
 
 

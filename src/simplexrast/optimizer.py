@@ -36,8 +36,10 @@ class Schedule:
     backtrack: bool = True
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
+        if not np.isfinite(self.tol):
+            raise ValueError("tol must be finite")
 
 
 @dataclass
@@ -77,6 +79,9 @@ class FitProblem:
         if dim is not None and self.mesh.dim != dim:
             raise ValueError(f"{self.variable} variable needs a {dim}D mesh, "
                              f"got dim={self.mesh.dim}")
+        if self.variable == "rig" and self.rig.rest_vertices.shape != self.mesh.vertices.shape:
+            raise ValueError(f"rig rest vertices {self.rig.rest_vertices.shape} are not "
+                             f"the mesh vertices {self.mesh.vertices.shape}")
         if self.loss == "mres_smooth":
             if self.mesh.degree != 1 or self.mesh.dim != 2:
                 raise ValueError("mres_smooth loss runs on a polygon boundary mesh")
@@ -85,8 +90,8 @@ class FitProblem:
             if self.variable != "vertices":
                 raise ValueError("mres_smooth fits polygon vertices directly")
             self.mesh = _ccw_loop(self.mesh.vertices, self.mesh.elements)
-        if self.smooth_weight < 0:
-            raise ValueError("smoothness weight must be >= 0")
+        if not 0 <= self.smooth_weight < np.inf:
+            raise ValueError("smooth_weight must be >= 0 and finite")
 
     def initial_state(self) -> np.ndarray:
         if self.variable == "vertices":

@@ -40,8 +40,8 @@ class RasterizeConfig:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if self.filter_width <= 0:
-            raise ValueError("filter width must be positive")
+        if not 0 < self.filter_width < np.inf:
+            raise ValueError("filter_width must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -132,8 +132,8 @@ class GaussianFilter:
 
 
 def gaussian_filter(grid: SpectralGrid, width_cells: float) -> GaussianFilter:
-    if width_cells <= 0:
-        raise ValueError("filter width must be positive")
+    if not 0 < width_cells < np.inf:
+        raise ValueError("filter width must be positive and finite")
     m2 = np.einsum("md,md->m", grid.modes, grid.modes).astype(np.float64)
     gains = np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
     return GaussianFilter(width_cells=width_cells, gains=gains)

@@ -13,14 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from simplexrast.gradients import _DS_AMP_MAX, _kernel_coefs
 from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError, content
 from simplexrast.nuft import (
+    _DS_AMP_MAX,
     _I_POW,
     _SERIES_SPAN,
     _dd_series_entry,
     _gap_kernel,
-    _route_kernel,
+    _kernel,
 )
 from simplexrast.pipeline import rasterize
 from simplexrast.spectral import Raster, SpectralField
@@ -52,7 +52,7 @@ def eval_S(sigmas) -> complex:
     sig = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
     if not np.all(np.isfinite(sig)):
         raise ValueError("phases must be finite")
-    return complex(_route_kernel(sig, _gap_kernel(sig)[0])[0])
+    return complex(_kernel(sig, False)[0])
 
 
 def lagrange_terms(sig: np.ndarray):
@@ -64,7 +64,7 @@ def lagrange_terms(sig: np.ndarray):
 def kernel_batch(sig):
     """Kernel values and derivative coefficients of phase rows (..., n);
     the coefficients keep that layout."""
-    s, coefs = _kernel_coefs(np.moveaxis(sig, -1, 0))
+    s, coefs = _kernel(np.moveaxis(sig, -1, 0), True)
     return s, np.moveaxis(coefs, 0, -1)
 
 

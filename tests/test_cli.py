@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,17 @@ class TestMalformedInput:
         path.write_text(json.dumps(dict(_square_fit_spec(tmp_path), **change)))
         assert main(["fit", "--problem", str(path), "--out", str(tmp_path / "run")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["filter_width", "step", "tol", "smooth_weight"])
+    def test_non_finite_fit_number_exit_1(self, tmp_path, capsys, field, value):
+        path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), **{field: value}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["fit", "--problem", path, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     def test_pose_on_2d_mesh_exit_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), variable="pose"))

@@ -4,8 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simplexrast as sr
-from simplexrast.gradients import _DS_AMP_MAX, _kernel_coefs
-from simplexrast.nuft import _dd_table, _divided_diff_series, _table_plan
+from simplexrast.nuft import _DS_AMP_MAX, _dd_table, _kernel, _table_plan
 import oracles
 from conftest import mp_confluent_diff, mp_divided_diff
 
@@ -83,7 +82,7 @@ class TestEvalS:
         for g in (1e-5, 1e-6, 1e-7, 1e-8):
             sig = np.array([0.3, 0.3 + g, 1.1, 1.1 + 2 * g])
             ref = mp_divided_diff(sig)
-            mine = complex(_divided_diff_series(sig[None])[0])
+            mine = complex(_dd_table(sig[None], False)[0])
             assert abs(mine - ref) < 1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -139,14 +138,17 @@ class TestSharedTable:
             z = confluent_rows(rng, n)
             ref = oracles.divided_diff_table(z)
             ref_slots = oracles.slot_tables(z)
-            assert np.array_equal(_divided_diff_series(z), ref)
+            assert np.array_equal(_dd_table(z, False), ref)
             kernel, slots = _dd_table(z, True)
             assert np.array_equal(kernel, ref)
             assert np.array_equal(slots, ref_slots)
             unsafe, risky = risky_rows(z)
-            s, coefs = _kernel_coefs(z.T)
+            s, coefs = _kernel(z.T, True)
             assert np.array_equal(coefs.T[risky], ref_slots[risky])
             assert np.array_equal(s[unsafe], ref[unsafe])
+            s = _kernel(z.T, False)  # the forward routing
+            assert np.array_equal(s[unsafe], ref[unsafe])
+            assert np.array_equal(s[~unsafe], oracles.lagrange_terms(z).s[~unsafe])
 
     def test_lattice_rows_match_high_precision(self):
         # phases of Kuhn-lattice tetrahedra at integer modes: exact pairs,
@@ -280,17 +282,34 @@ class TestForwardMesh:
     def test_split_element_blocks_match(self, rng, monkeypatch):
         """A budget below the element count splits every mode tile into
         element blocks; the result is the same up to round-off, and still
-        bit-identical across worker counts."""
+        bit-identical across worker counts.  Both backward passes sweep
+        the same blocks and match their unsplit result too."""
         grid = sr.build_grid(2, 8)
         mesh = sr.random_mesh(2, 2, 13, rng)
         mesh.densities = rng.random((mesh.n_elements, 2))
-        whole = sr.forward_mesh(mesh, grid).coeffs
+        boundary = sr.polygon_boundary_mesh(sr.random_convex_polygon(13, rng))
+        cot = oracles.random_spectral_cotangent(grid, rng, channels=2)
+        backwards = [(sr.backward_mesh, mesh, cot.coeffs),
+                     (sr.backward_auxnode, boundary, cot.coeffs[:, :1])]
+
+        def gradients():
+            return [backward(m, grid, sr.SpectralField(grid, c), workers=1)
+                    for backward, m, c in backwards]
+
+        whole, whole_grads = sr.forward_mesh(mesh, grid).coeffs, gradients()
         monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 5)
         e_bounds, _ = sr.nuft._tiles(mesh.n_elements, grid.n_modes)
         assert len(e_bounds) > 2
         split = sr.forward_mesh(mesh, grid, workers=1).coeffs
         assert np.abs(split - whole).max() <= 1e-13 * np.abs(whole).max()
         assert np.array_equal(sr.forward_mesh(mesh, grid, workers=2).coeffs, split)
+        # split blocks hold one mode per tile, whose phase product can round
+        # one ulp apart from a wider tile's; an unrouted Lagrange derivative
+        # amplifies that by at most _DS_AMP_MAX (seen: 1.1e-12 relative)
+        for ref, got in zip(whole_grads, gradients()):
+            for name in ("d_vertices", "d_densities"):
+                a, b = getattr(ref, name), getattr(got, name)
+                assert np.abs(b - a).max() <= _DS_AMP_MAX * 2.0 ** -52 * np.abs(a).max()
 
     def test_complexity_contract_phase_count(self, rng):
         # forward evaluates (j+1) * n_e * n_modes phases: shape check on sigma

@@ -140,6 +140,28 @@ class TestFit:
             sr.FitProblem(mesh=tet, variable="rig",
                           rig=sr.make_rig(SQUARE, centers=[[0.5, 0.5]]), **common)
 
+    def test_rig_must_rest_on_the_mesh_vertices(self):
+        rig = sr.make_rig(np.vstack([SQUARE, SQUARE + 0.01]), centers=[[0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"rig rest vertices \(8, 2\) are not"):
+            sr.FitProblem(mesh=sr.polygon_boundary_mesh(SQUARE), variable="rig", rig=rig,
+                          target=None, config=sr.RasterizeConfig(resolution=8),
+                          schedule=sr.Schedule(step=1e-3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field, make", [
+        ("filter_width", lambda v: sr.RasterizeConfig(resolution=8, filter_width=v)),
+        ("filter width", lambda v: sr.gaussian_filter(sr.build_grid(2, 8), v)),
+        ("step", lambda v: sr.Schedule(step=v)),
+        ("tol", lambda v: sr.Schedule(step=1e-3, tol=v)),
+        ("smooth_weight", lambda v: sr.FitProblem(
+            mesh=sr.polygon_boundary_mesh(SQUARE), target=None,
+            config=sr.RasterizeConfig(resolution=8), schedule=sr.Schedule(step=1e-3),
+            smooth_weight=v)),
+    ], ids=["RasterizeConfig", "gaussian_filter", "step", "tol", "smooth_weight"])
+    def test_non_finite_numbers_rejected(self, field, make, value):
+        with pytest.raises(ValueError, match=field):
+            make(value)
+
 
 class TestLoopCheck:
     """``mres_smooth`` reads a boundary mesh as the loop of its vertex list,
