@@ -26,7 +26,6 @@ from .gradients import (
 )
 from .meshcore import (
     DEGENERACY_EPS,
-    DegenerateElementError,
     MeshValidationError,
     SimplexMesh,
     content,

@@ -117,11 +117,18 @@ class PoseQuat:
     pivot: np.ndarray = None
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64).reshape(4)
-        self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
-        if self.pivot is None:
-            self.pivot = np.full(3, 0.5)
-        self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
+        self.q = _finite_vector(self.q, 4, "q")
+        self.t = _finite_vector(self.t, 3, "t")
+        self.pivot = _finite_vector(np.full(3, 0.5) if self.pivot is None else self.pivot,
+                                    3, "pivot")
+
+
+def _finite_vector(value, n: int, name: str) -> np.ndarray:
+    """``value`` as exactly ``n`` finite floats; any other shape is an error, not reshaped."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"pose {name} must be {n} finite numbers, got {value!r}")
+    return v
 
 
 def _rotation_matrix(q: np.ndarray) -> np.ndarray:

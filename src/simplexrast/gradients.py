@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshcore import DegenerateElementError, SimplexMesh, _weight_gradients
+from .meshcore import SimplexMesh, _weight_gradients
 from .nuft import _I_POW, _checked_elements, _sweep, forward_auxnode, forward_mesh
 from .spectral import SpectralField, SpectralGrid, spectral_inner
 
@@ -42,7 +42,7 @@ class MeshGradient:
 
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
-              auxnode: bool, strict: bool, workers) -> MeshGradient:
+              auxnode: bool, workers) -> MeshGradient:
     if not cotangent.grid.matches(grid):
         raise ValueError("cotangent grid does not match the requested grid")
     if cotangent.channels != mesh.channels:
@@ -50,9 +50,6 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
             f"cotangent has {cotangent.channels} channels, mesh has {mesh.channels}")
     pts, weights = _checked_elements(mesh, grid, auxnode)
     dweights, degenerate = _weight_gradients(pts, weights, auxnode)
-    if degenerate.any() and strict:
-        raise DegenerateElementError(
-            [f"element {e}: degenerate content" for e in np.nonzero(degenerate)[0]])
     n_e, slots, d = pts.shape
     wavevectors, dens = grid.wavevectors, mesh.densities
     # cotangent and fold weights as one per-(mode, channel) factor
@@ -90,15 +87,14 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
 
 
 def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
-                  strict: bool = False, workers=None) -> MeshGradient:
+                  workers=None) -> MeshGradient:
     """Gradient of ``L(F) = sum_m w(m) Re[conj(G) F]`` in vertices and densities.
 
     Vertices shared by several elements accumulate; vertices unused by any
     element stay exactly zero.  Elements at or below the degeneracy
-    threshold contribute zero vertex gradient (with a warning) unless
-    ``strict`` raises.
+    threshold contribute zero vertex gradient, with a warning.
     """
-    return _backward(mesh, grid, cotangent, False, strict, workers)
+    return _backward(mesh, grid, cotangent, False, workers)
 
 
 def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
@@ -110,9 +106,7 @@ def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     rows of the offset matrix, so no division by the (possibly ~zero)
     signed content occurs.
     """
-    if boundary_mesh.degree != boundary_mesh.dim - 1:
-        raise ValueError("auxnode backward needs a boundary of degree dim-1")
-    return _backward(boundary_mesh, grid, cotangent, True, False, workers)
+    return _backward(boundary_mesh, grid, cotangent, True, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class MeshValidationError(ValueError):
         super().__init__("mesh validation failed: " + "; ".join(self.violations))
 
 
-class DegenerateElementError(MeshValidationError):
-    """Strict-mode gradient request on an element with ~zero content."""
-
-
 @dataclass
 class SimplexMesh:
     """Homogeneous simplicial complex with per-element densities."""

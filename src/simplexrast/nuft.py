@@ -31,7 +31,6 @@ from .meshcore import (
     _index_violations,
     _nonfinite_violations,
     _structure_violations,
-    require_valid,
 )
 from .spectral import SpectralField, SpectralGrid
 
@@ -274,10 +273,14 @@ def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     call, strict or not: a degree above the dimension would rasterize to
     zeros, a negative index wrap silently, a large one escape as an
     IndexError, and a non-finite value turn the whole raster into NaN.
+    An auxnode boundary must have degree dim-1 in both passes.
     """
     if mesh.dim != grid.dim:
         raise ValueError(f"mesh dim {mesh.dim} != grid dim {grid.dim}")
     violations = _structure_violations(mesh) + _index_violations(mesh)[1]
+    if auxnode and mesh.degree != mesh.dim - 1:
+        violations.append(f"auxnode needs a boundary of degree dim-1, "
+                          f"got degree {mesh.degree} in {mesh.dim}D")
     if violations:
         raise MeshValidationError(violations)
     pts = mesh.element_points()
@@ -342,16 +345,12 @@ def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> S
     return SpectralField(grid, coeffs)
 
 
-def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, strict: bool = False,
-                 workers=None) -> SpectralField:
+def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, workers=None) -> SpectralField:
     """Spectral coefficients of the whole mesh on ``grid``.
 
     The DC coefficient equals the total mass (sum of density * content)
-    in every channel.  ``strict`` validates the mesh first and raises
-    :class:`MeshValidationError` on any violation.
+    in every channel.
     """
-    if strict:
-        require_valid(mesh, strict=True)
     return _forward(mesh, grid, False, workers)
 
 
@@ -380,7 +379,7 @@ def boundary_closure_defect(mesh: SimplexMesh) -> float:
 
 
 def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
-                    strict: bool = False, workers=None) -> SpectralField:
+                    workers=None) -> SpectralField:
     """Transform of the solid enclosed by a watertight oriented boundary.
 
     The boundary is a (j-1)-mesh in d = j dimensions; each boundary
@@ -390,15 +389,4 @@ def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     2D orientation) yields positive densities; reversing the orientation
     negates the field.
     """
-    j = boundary_mesh.dim
-    if boundary_mesh.degree != j - 1:
-        raise ValueError(
-            f"auxnode needs a boundary of degree dim-1, got degree {boundary_mesh.degree} in {j}D")
-    if strict:
-        require_valid(boundary_mesh)
-        defect = boundary_closure_defect(boundary_mesh)
-        if defect > 1e-9:
-            raise MeshValidationError(
-                [f"boundary not watertight or inconsistently oriented "
-                 f"(closure defect {defect:.3e})"])
     return _forward(boundary_mesh, grid, True, workers)

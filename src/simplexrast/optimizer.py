@@ -14,7 +14,8 @@ import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
 from .meshcore import SimplexMesh
-from .pipeline import RasterizeConfig, _ccw_loop, loss_smooth, rasterize, rasterize_backward
+from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, loss_smooth, rasterize,
+                       rasterize_backward)
 from .spectral import Raster
 
 VARIABLES = ("vertices", "rig", "pose")
@@ -38,6 +39,7 @@ class Schedule:
     def __post_init__(self):
         if not 0 < self.step < np.inf:
             raise ValueError("step must be positive and finite")
+        _check_int(self.max_iters, "max_iters", 0)
         if not np.isfinite(self.tol):
             raise ValueError("tol must be finite")
 
@@ -191,10 +193,10 @@ def make_objective(problem: FitProblem):
     smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
 
     def objective(state, need_grad=True):
-        mesh = problem.geometry(state)
-        if not np.all(np.isfinite(mesh.vertices)):
-            # the rasterizer rejects non-finite input; a diverged state gets
-            # the non-finite loss that ``fit`` stops on
+        mesh = problem.geometry(state) if np.all(np.isfinite(state)) else None
+        if mesh is None or not np.all(np.isfinite(mesh.vertices)):
+            # the pose and the rasterizer reject non-finite input; a diverged
+            # state gets the non-finite loss that ``fit`` stops on
             return np.nan, (np.full(state.shape, np.nan) if need_grad else None)
         value, grads = 0.0, []
         for config, target in terms:
@@ -278,6 +280,8 @@ def iou(raster_a, raster_b, threshold: float = 0.5) -> float:
     b = raster_b.values if isinstance(raster_b, Raster) else np.asarray(raster_b)
     if a.shape != b.shape:
         raise ValueError("rasters must have the same shape")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("rasters must be finite")
     sa = a > threshold
     sb = b > threshold
     union = np.logical_or(sa, sb).sum()

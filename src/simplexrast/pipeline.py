@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
-from .meshcore import MeshValidationError, SimplexMesh
-from .nuft import forward_auxnode, forward_mesh
+from .meshcore import MeshValidationError, SimplexMesh, require_valid
+from .nuft import boundary_closure_defect, forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
+    _filter_width,
     adjoint_transform,
     apply_filter,
     build_grid,
@@ -38,19 +39,40 @@ class RasterizeConfig:
     strict: bool = False
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        if not 0 < self.filter_width < np.inf:
-            raise ValueError("filter_width must be positive and finite")
+        _check_int(self.resolution, "resolution", 2)
+        _filter_width(self.filter_width)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
 
+def _check_int(value, name: str, minimum: int) -> None:
+    """An integer (numpy integers too, bool not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_strict(mesh: SimplexMesh, config: RasterizeConfig) -> None:
+    """The strict rule, one for every pass: with ``config.strict`` the mesh
+    must pass ``validate`` (in simplex mode also without degenerate
+    elements), and an auxnode boundary must be watertight and consistently
+    oriented.  A wrong auxnode degree is left to the transform's own check."""
+    if not config.strict:
+        return
+    require_valid(mesh, strict=config.mode == "simplex")
+    if config.mode == "auxnode" and mesh.degree == mesh.dim - 1:
+        defect = boundary_closure_defect(mesh)
+        if defect > 1e-9:
+            raise MeshValidationError(
+                [f"boundary not watertight or inconsistently oriented "
+                 f"(closure defect {defect:.3e})"])
+
+
 def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:
     """Filtered raster of the mesh's piecewise-constant field."""
+    _check_strict(mesh, config)
     grid = build_grid(mesh.dim, config.resolution)
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
-    field = forward(mesh, grid, strict=config.strict)
+    field = forward(mesh, grid)
     field = apply_filter(field, gaussian_filter(grid, config.filter_width))
     return inverse_transform(field)
 
@@ -58,12 +80,12 @@ def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:
 def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
                        raster_cotangent) -> MeshGradient:
     """Gradient of ``L = sum_pixels cotangent * raster`` in mesh parameters."""
+    _check_strict(mesh, config)
     grid = build_grid(mesh.dim, config.resolution)
     cot = adjoint_transform(raster_cotangent, grid)
     cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))
-    if config.mode == "simplex":
-        return backward_mesh(mesh, grid, cot, strict=config.strict)
-    return backward_auxnode(mesh, grid, cot)
+    backward = backward_mesh if config.mode == "simplex" else backward_auxnode
+    return backward(mesh, grid, cot)
 
 
 def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
@@ -76,6 +98,7 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     elements that contain the perturbed vertex: the others cancel exactly
     in the central difference.
     """
+    _check_strict(mesh, config)
     grid = build_grid(mesh.dim, config.resolution)
     cot = adjoint_transform(np.asarray(raster_cotangent, float), grid)
     cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))

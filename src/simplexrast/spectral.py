@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,11 +133,23 @@ class GaussianFilter:
     gains: np.ndarray
 
 
+def _filter_width(width) -> float:
+    """``width`` as a float if it is a positive real number and the gain
+    exponent's factor 2 pi^2 width^2 is a finite float (so the DC gain is
+    exactly 1, not NaN)."""
+    if isinstance(width, numbers.Real) and not isinstance(width, bool):
+        w = float(width)
+        if w > 0 and math.isfinite(2.0 * math.pi ** 2 * w * w):
+            return w
+    raise ValueError(f"filter width must be positive and 2 pi^2 filter_width^2 a finite "
+                     f"float, got {width!r}")
+
+
 def gaussian_filter(grid: SpectralGrid, width_cells: float) -> GaussianFilter:
-    if not 0 < width_cells < np.inf:
-        raise ValueError("filter width must be positive and finite")
+    width_cells = _filter_width(width_cells)
     m2 = np.einsum("md,md->m", grid.modes, grid.modes).astype(np.float64)
-    gains = np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
+    with np.errstate(over="ignore"):  # a huge width sends the non-DC gains to exactly 0
+        gains = np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
     return GaussianFilter(width_cells=width_cells, gains=gains)
 
 
@@ -179,6 +193,8 @@ def adjoint_transform(raster_values, grid: SpectralGrid) -> SpectralField:
         values = values[..., None]
     if values.shape[:-1] != expected:
         raise ValueError(f"raster shape {values.shape} does not match grid {expected}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("raster values must be finite")
     spec = np.fft.rfftn(np.moveaxis(values, -1, 0), axes=tuple(range(1, grid.dim + 1)))
     coeffs = np.moveaxis(spec, 0, -1).reshape(grid.n_modes, values.shape[-1])
     return SpectralField(grid, coeffs)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from simplexrast.meshcore import DEGENERACY_EPS, DegenerateElementError, content
+from simplexrast.meshcore import DEGENERACY_EPS, content
 from simplexrast.nuft import (
     _DS_AMP_MAX,
     _I_POW,
@@ -241,20 +241,18 @@ def element_geometry(points) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 # single-element derivative pieces
 
-def dgamma_dx(points, p: int, strict: bool = False) -> np.ndarray:
+def dgamma_dx(points, p: int) -> np.ndarray:
     """Gradient of the distortion factor w.r.t. vertex slot ``p``.
 
     Uses the adjugate of the Cayley-Menger matrix: slot p reads row p+1 of
     the adjugate against the doubled coordinate differences.  Degenerate
-    elements (distortion ~ 0) return a zero vector by default because the
-    expression divides by the distortion; ``strict`` raises instead.
+    elements (distortion ~ 0) return a zero vector, as the library's
+    backward pass does, because the expression divides by the distortion.
     """
     pts = np.asarray(points, dtype=np.float64)
     j = pts.shape[0] - 1
     gamma = cm_distortion(pts)
     if gamma <= DEGENERACY_EPS * math.factorial(j):
-        if strict:
-            raise DegenerateElementError([f"element content {gamma / math.factorial(j):.3e}"])
         return np.zeros(pts.shape[1])
     adj = adjugate(cayley_menger_matrix(pts))
     scale = (-1.0) ** (j + 1) / 2.0 ** j / gamma

@@ -6,7 +6,7 @@ import types
 import simplexrast as sr
 
 PUBLIC_NAMES = """
-    ControlRig DEGENERACY_EPS DegenerateElementError EPS_CONFLUENT FitDivergedError
+    ControlRig DEGENERACY_EPS EPS_CONFLUENT FitDivergedError
     FitProblem FitResult GaussianFilter MeshGradient MeshValidationError PoseQuat Raster
     RasterizeConfig Schedule SimplexMesh SpectralField SpectralGrid TrajectoryPoint
     adjoint_transform apply_filter backward_auxnode backward_mesh boundary_closure_defect

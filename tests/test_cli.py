@@ -357,6 +357,17 @@ class TestMalformedInput:
         assert field in capsys.readouterr().err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("change,named", [
+        ({"filter_width": 1e200}, "filter_width"),
+        ({"pose": {"q": [[1, 0], [0, 1]]}}, "pose q"),
+        ({"pose": {"q": [1, 0, 0, 0], "pivot": [0.5, 0.5]}}, "pose pivot"),
+    ])
+    def test_out_of_range_fit_value_exit_1(self, tmp_path, capsys, change, named):
+        path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), **change))
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     def test_pose_on_2d_mesh_exit_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), variable="pose"))
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1

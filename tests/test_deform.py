@@ -151,6 +151,16 @@ class TestQuat:
         pose_a = sr.PoseQuat([2, 0, 0, 0], [0, 0, 0])
         assert np.abs(sr.quat_apply(pose_a, v) - v).max() <= 1e-12
 
+    @pytest.mark.parametrize("field,value", [
+        ("q", np.eye(2)), ("q", [1, 0, 0]), ("q", [np.nan, 0, 0, 1]), ("q", [[1, 0, 0, 0]]),
+        ("t", [0, 0]), ("t", [0, np.inf, 0]), ("pivot", np.zeros((3, 1))),
+        ("pivot", [0.5, 0.5, np.nan]),
+    ])
+    def test_pose_shape_and_finiteness(self, field, value):
+        args = {"q": [1, 0, 0, 0], "t": [0, 0, 0], "pivot": None, field: value}
+        with pytest.raises(ValueError, match=f"pose {field} must be"):
+            sr.PoseQuat(**args)
+
     def test_tiny_norm_rejected(self, rng):
         with pytest.raises(ValueError):
             sr.quat_apply(sr.PoseQuat([1e-9, 0, 0, 0], [0, 0, 0]), rng.random((3, 3)))

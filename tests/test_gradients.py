@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,9 @@ class TestDGamma:
     def test_degenerate_policy(self):
         flat = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         assert np.all(oracles.dgamma_dx(flat, 0) == 0.0)
-        with pytest.raises(sr.DegenerateElementError):
-            oracles.dgamma_dx(flat, 0, strict=True)
+        mesh = sr.SimplexMesh(2, 2, flat, [[0, 1, 2]], [1.0])
+        with pytest.raises(sr.MeshValidationError, match="element 0: degenerate"):
+            sr.rasterize_backward(mesh, sr.RasterizeConfig(4, strict=True), np.ones((4, 4)))
 
 
 class TestDS:
@@ -225,8 +228,8 @@ class TestBackwardMesh:
             grad = sr.backward_mesh(mesh, grid, cot)
         assert np.all(grad.d_vertices[2] == 0.0)  # only in the flat element
         assert np.abs(grad.d_vertices[3]).max() > 0
-        with pytest.raises(sr.DegenerateElementError):
-            sr.backward_mesh(mesh, grid, cot, strict=True)
+        with pytest.raises(sr.MeshValidationError, match="element 0: degenerate"):
+            sr.rasterize_backward(mesh, sr.RasterizeConfig(4, strict=True), np.ones((4, 4)))
 
     def test_grid_and_channel_mismatch(self, rng):
         mesh = sr.random_mesh(2, 2, 6, rng)
@@ -386,29 +389,37 @@ class TestBackwardAuxnode:
         assert np.abs(ana.d_densities - num.d_densities).max() / sd <= 1e-5
 
 
+def mesh_entry_calls(tri, loop) -> list:
+    """Every entry that takes a mesh, on the triangle or the loop: the four
+    transforms, and rasterize and rasterize_backward in both modes, strict
+    or not."""
+    grid = sr.build_grid(2, 4)
+    cot = sr.SpectralField(grid, np.ones(grid.n_modes))
+    calls = [partial(sr.forward_mesh, tri, grid), partial(sr.backward_mesh, tri, grid, cot),
+             partial(sr.forward_auxnode, loop, grid), partial(sr.backward_auxnode, loop, grid, cot)]
+    for strict in (False, True):
+        for mesh, mode in ((tri, "simplex"), (loop, "auxnode")):
+            config = sr.RasterizeConfig(4, mode=mode, strict=strict)
+            calls += [partial(sr.rasterize, mesh, config),
+                      partial(sr.rasterize_backward, mesh, config, np.ones((4, 4)))]
+    return calls
+
+
 @pytest.mark.parametrize("bad", [-1, 7])
 def test_out_of_range_index_rejected(bad):
     """Forward and backward, simplex and auxnode, strict or not: a node
     index outside [0, n_vertices) raises instead of wrapping or escaping."""
     tri = sr.SimplexMesh(2, 2, UNIT_TRIANGLE, [[0, 1, bad]], [1.0])
     loop = sr.SimplexMesh(2, 1, UNIT_TRIANGLE, [[0, 1], [1, 2], [2, bad]], np.ones(3))
-    grid = sr.build_grid(2, 4)
-    cot = sr.SpectralField(grid, np.ones(grid.n_modes))
-    for strict in (False, True):
-        for call in (lambda: sr.forward_mesh(tri, grid, strict=strict),
-                     lambda: sr.backward_mesh(tri, grid, cot, strict=strict),
-                     lambda: sr.forward_auxnode(loop, grid, strict=strict),
-                     lambda: sr.backward_auxnode(loop, grid, cot)):
-            with pytest.raises(sr.MeshValidationError, match="out of range"):
-                call()
+    for call in mesh_entry_calls(tri, loop):
+        with pytest.raises(sr.MeshValidationError, match="out of range"):
+            call()
 
 
 @pytest.mark.parametrize("where", ["vertices", "densities"])
 def test_non_finite_rejected(where):
     """Forward and backward, simplex and auxnode, strict or not: a non-finite
     element coordinate or density raises instead of rasterizing to NaN."""
-    grid = sr.build_grid(2, 4)
-    cot = sr.SpectralField(grid, np.ones(grid.n_modes))
     for bad in (np.nan, np.inf):
         vertices = UNIT_TRIANGLE.copy()
         densities = np.ones(3)
@@ -418,10 +429,6 @@ def test_non_finite_rejected(where):
             densities[:] = bad
         tri = sr.SimplexMesh(2, 2, vertices, [[0, 1, 2]], densities[:1])
         loop = sr.SimplexMesh(2, 1, vertices, [[0, 1], [1, 2], [2, 0]], densities)
-        for strict in (False, True):
-            for call in (lambda: sr.forward_mesh(tri, grid, strict=strict),
-                         lambda: sr.backward_mesh(tri, grid, cot, strict=strict),
-                         lambda: sr.forward_auxnode(loop, grid, strict=strict),
-                         lambda: sr.backward_auxnode(loop, grid, cot)):
-                with pytest.raises(sr.MeshValidationError, match="non-finite"):
-                    call()
+        for call in mesh_entry_calls(tri, loop):
+            with pytest.raises(sr.MeshValidationError, match="non-finite"):
+                call()

@@ -218,8 +218,11 @@ class TestForwardMesh:
 
     def test_strict_propagates_validation(self):
         mesh = sr.SimplexMesh(2, 2, UNIT_TRIANGLE, [[0, 1, 5]], [1.0])
-        with pytest.raises(sr.MeshValidationError):
-            sr.forward_mesh(mesh, sr.build_grid(2, 4), strict=True)
+        config = sr.RasterizeConfig(4, strict=True)
+        with pytest.raises(sr.MeshValidationError, match="out of range"):
+            sr.rasterize(mesh, config)
+        with pytest.raises(sr.MeshValidationError, match="out of range"):
+            sr.rasterize_backward(mesh, config, np.ones((4, 4)))
 
     def test_translation_phase_property(self, rng):
         for j, d in [(0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]:
@@ -382,8 +385,11 @@ class TestAuxNode:
     def test_open_boundary_rejected_strict(self):
         open_mesh = sr.SimplexMesh(2, 1, SQUARE, [[0, 1], [1, 2], [2, 3]],
                                    np.ones(3))
-        with pytest.raises(sr.MeshValidationError):
-            sr.forward_auxnode(open_mesh, sr.build_grid(2, 4), strict=True)
+        config = sr.RasterizeConfig(4, mode="auxnode", strict=True)
+        with pytest.raises(sr.MeshValidationError, match="not watertight"):
+            sr.rasterize(open_mesh, config)
+        with pytest.raises(sr.MeshValidationError, match="not watertight"):
+            sr.rasterize_backward(open_mesh, config, np.ones((4, 4)))
         # lax mode computes anyway
         sr.forward_auxnode(open_mesh, sr.build_grid(2, 4))
 
@@ -402,10 +408,16 @@ class TestAuxNode:
         solid, surface = box_solid_and_surface()
         assert sr.boundary_closure_defect(surface) <= 1e-15
         grid = sr.build_grid(3, 8)
-        fs = sr.forward_auxnode(surface, grid, strict=True).coeffs
+        fs = sr.forward_auxnode(surface, grid).coeffs
         ft = sr.forward_mesh(solid, grid).coeffs
         assert fs[0, 0].real == pytest.approx(0.44 * 0.26 * 0.16, rel=1e-12)
         assert np.abs(fs - ft).max() <= 1e-12 * np.abs(ft).max()
+        # strict mode accepts the closed surface in both passes
+        config = sr.RasterizeConfig(8, mode="auxnode", strict=True)
+        rs = sr.rasterize(surface, config).values
+        rt = sr.rasterize(solid, sr.RasterizeConfig(8, strict=True)).values
+        assert np.abs(rs - rt).max() <= 1e-12 * np.abs(rt).max()
+        assert np.all(np.isfinite(sr.rasterize_backward(surface, config, rt).d_vertices))
 
 
 def test_imaginary_power_cycle():

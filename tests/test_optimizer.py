@@ -33,6 +33,22 @@ class TestIou:
         with pytest.raises(ValueError):
             sr.iou(np.zeros((4, 4, 1)), np.zeros((8, 8, 1)))
 
+    def test_non_finite_rejected(self):
+        nan = np.full((4, 4, 1), np.nan)
+        for a, b in ((nan, nan), (nan, np.ones((4, 4, 1))), (np.zeros((4, 4, 1)), -nan)):
+            with pytest.raises(ValueError, match="finite"):
+                sr.iou(a, b)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, 3.0, True, float("nan"), "3"])
+    def test_max_iters_must_be_non_negative_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            sr.Schedule(step=1e-3, max_iters=max_iters)
+
+    def test_integer_max_iters_accepted(self):
+        assert sr.Schedule(step=1e-3, max_iters=np.int32(0)).max_iters == 0
+
 
 def square_problem(shift=(0.1, 0.0), step=1e-3, max_iters=100, resolution=16,
                    loss="l2", tol=0.0):

@@ -1,9 +1,48 @@
+import contextlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import simplexrast as sr
 
 SQUARE = np.array([[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.3, 0.7]])
+
+# meshes that only strict mode rejects: mesh, mode, the violation named, and
+# whether the lax backward warns about degenerate elements
+STRICT_PROBES = {
+    "open auxnode boundary": (
+        sr.SimplexMesh(2, 1, SQUARE, [[0, 1], [1, 2], [2, 3]], np.ones(3)),
+        "auxnode", "not watertight", False),
+    "vertex outside the unit box": (
+        sr.SimplexMesh(2, 2, [[0.2, 0.2], [1.8, 0.3], [0.4, 0.7]], [[0, 1, 2]], [1.0]),
+        "simplex", "outside the unit box", False),
+    "repeated node index": (
+        sr.SimplexMesh(2, 1, SQUARE, [[0, 1], [1, 1], [1, 2], [2, 3], [3, 0]], np.ones(5)),
+        "auxnode", "repeated vertex index", False),
+    "degenerate triangle": (
+        sr.SimplexMesh(2, 2, [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]], [[0, 1, 2]], [1.0]),
+        "simplex", "degenerate", True),
+}
+
+
+@pytest.mark.parametrize("probe", STRICT_PROBES)
+def test_strict_rule_same_in_both_passes(probe):
+    """Strict mode rejects the same meshes in the forward pass, the backward
+    pass and the finite-difference reference; lax mode runs them all."""
+    mesh, mode, violation, lax_warns = STRICT_PROBES[probe]
+    config = sr.RasterizeConfig(8, mode=mode, strict=True)
+    cot = np.ones((8, 8))
+    for call in (sr.rasterize, sr.rasterize_backward, sr.finite_difference_gradient):
+        args = (mesh, config) if call is sr.rasterize else (mesh, config, cot)
+        with pytest.raises(sr.MeshValidationError, match=violation):
+            call(*args)
+    lax = replace(config, strict=False)
+    assert np.all(np.isfinite(sr.rasterize(mesh, lax).values))
+    with (pytest.warns(RuntimeWarning, match="degenerate") if lax_warns
+          else contextlib.nullcontext()):
+        grad = sr.rasterize_backward(mesh, lax, cot)
+    assert np.all(np.isfinite(grad.d_vertices))
 
 
 class TestRasterize:
@@ -47,6 +86,20 @@ class TestRasterize:
         with pytest.raises(ValueError):
             sr.RasterizeConfig(resolution=8, mode="nearest")
 
+    @pytest.mark.parametrize("resolution", [64.5, 8.0, float("nan"), True, "8", None])
+    def test_resolution_must_be_integer(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            sr.RasterizeConfig(resolution=resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        assert sr.rasterize(sr.polygon_fan_mesh(SQUARE),
+                            sr.RasterizeConfig(resolution=np.int64(8))).resolution == 8
+
+    @pytest.mark.parametrize("width", [1e200, 1e154, float("inf"), -1.0, "2", True])
+    def test_filter_width_square_must_be_finite(self, width):
+        with pytest.raises(ValueError, match="filter_width"):
+            sr.RasterizeConfig(resolution=8, filter_width=width)
+
 
 class TestRasterizeBackward:
     @pytest.mark.parametrize("j,d", [(0, 2), (1, 2), (2, 2), (0, 3), (2, 3), (3, 3)])
@@ -71,6 +124,16 @@ class TestRasterizeBackward:
         edge = mesh.vertices[2] - mesh.vertices[1]  # opposite vertex 0
         directional = grad.d_vertices[0] @ edge
         assert abs(directional) <= 1e-8 * max(np.abs(grad.d_vertices).max(), 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cotangent_rejected(self, rng, bad):
+        mesh = sr.random_mesh(2, 2, 6, rng)
+        cfg = sr.RasterizeConfig(resolution=8)
+        cot = np.zeros((8, 8, 1))
+        cot[3, 4] = bad
+        for call in (sr.rasterize_backward, sr.finite_difference_gradient):
+            with pytest.raises(ValueError, match="finite"):
+                call(mesh, cfg, cot)
 
     def test_zero_cotangent(self, rng):
         mesh = sr.random_mesh(2, 2, 6, rng)

@@ -78,6 +78,17 @@ class TestGaussianFilter:
         with pytest.raises(ValueError):
             sr.gaussian_filter(sr.build_grid(2, 8), 0.0)
 
+    @pytest.mark.parametrize("width", [1e200, 1e154, float("inf")])
+    def test_width_square_must_be_finite(self, width):
+        with pytest.raises(ValueError, match="filter_width"):
+            sr.gaussian_filter(sr.build_grid(2, 8), width)
+
+    def test_huge_width_keeps_only_dc(self):
+        grid = sr.build_grid(2, 8)
+        gains = sr.gaussian_filter(grid, 1e153).gains  # the exponent overflows to -inf
+        dc = np.all(grid.modes == 0, axis=1)
+        assert gains[dc][0] == 1.0 and np.all(gains[~dc] == 0.0)
+
 
 class TestInverseTransform:
     def test_dc_only_constant_raster(self):
@@ -154,6 +165,13 @@ class TestAdjoint:
         g[0, 0, 0] = 1.0
         coeffs = sr.adjoint_transform(g, grid).coeffs[:, 0]
         assert np.allclose(coeffs, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_raster_rejected(self, bad):
+        g = np.zeros((8, 8, 1))
+        g[0, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sr.adjoint_transform(g, sr.build_grid(2, 8))
 
     def test_zero_raster(self):
         grid = sr.build_grid(2, 8)
