@@ -26,6 +26,7 @@ from .nuft import resolve_workers
 from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
     RasterizeConfig,
+    _check_int,
     finite_difference_gradient,
     polygon_subdivide,
     rasterize,
@@ -191,9 +192,12 @@ def _load_fit_problem(path) -> tuple[FitProblem, int]:
     with open(path, encoding="utf-8") as fh:
         spec = _json_object(json.load(fh), "fit problem")
     try:
-        return _fit_problem(spec), int(spec.get("snapshot_every", 0))
-    except (TypeError, OverflowError) as exc:  # e.g. null or 1e999 where a number belongs
+        problem = _fit_problem(spec)
+    except (TypeError, OverflowError) as exc:  # e.g. null where a list belongs
         raise ValueError(f"fit problem has a value of the wrong type: {exc}") from exc
+    every = spec.get("snapshot_every", 0)
+    _check_int(every, "snapshot_every", 0)
+    return problem, every
 
 
 def _fit_problem(spec: dict) -> FitProblem:
@@ -204,13 +208,13 @@ def _fit_problem(spec: dict) -> FitProblem:
         target = load_raster(spec["target_raster"])
     else:
         raise ValueError("fit problem needs target_mesh or target_raster")
-    config = RasterizeConfig(resolution=int(spec.get("resolution", 32)),
-                             filter_width=float(spec.get("filter_width", 2.0)),
+    config = RasterizeConfig(resolution=spec.get("resolution", 32),
+                             filter_width=spec.get("filter_width", 2.0),
                              mode=spec.get("mode", "simplex"))
-    schedule = Schedule(step=float(spec.get("step", 1e-3)),
-                        max_iters=int(spec.get("max_iters", 500)),
-                        tol=float(spec.get("tol", 0.0)),
-                        backtrack=bool(spec.get("backtrack", True)))
+    schedule = Schedule(step=spec.get("step", 1e-3),
+                        max_iters=spec.get("max_iters", 500),
+                        tol=spec.get("tol", 0.0),
+                        backtrack=spec.get("backtrack", True))
     rig = None
     if spec.get("rig"):
         rig_spec = _json_object(spec["rig"], "rig")
@@ -226,8 +230,8 @@ def _fit_problem(spec: dict) -> FitProblem:
     return FitProblem(mesh=mesh, target=target, config=config, schedule=schedule,
                       variable=spec.get("variable", "vertices"),
                       loss=spec.get("loss", "l2"), rig=rig, pose=pose,
-                      smooth_weight=float(spec.get("smooth_weight", 0.0)),
-                      mres_resolutions=tuple(int(r) for r in spec.get("mres_resolutions", ())))
+                      smooth_weight=spec.get("smooth_weight", 0.0),
+                      mres_resolutions=tuple(spec.get("mres_resolutions", ())))
 
 
 def cmd_fit(args) -> int:

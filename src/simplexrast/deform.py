@@ -34,7 +34,7 @@ class ControlRig:
         self.controls = np.asarray(self.controls, dtype=np.float64).reshape(-1, 3)
         self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 2)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.rest_vertices = np.asarray(self.rest_vertices, dtype=np.float64).reshape(-1, 2)
+        self.rest_vertices = _planar_vertices(self.rest_vertices)
         if self.controls.shape[0] != self.centers.shape[0]:
             raise ValueError("one control row per center required")
         if self.weights.shape != (self.rest_vertices.shape[0], self.centers.shape[0]):
@@ -51,6 +51,15 @@ class ControlRig:
             raise ValueError("skinning weight rows must sum to 1")
 
 
+def _planar_vertices(rest_vertices) -> np.ndarray:
+    """``rest_vertices`` as an (n, 2) float array; any other shape is an
+    error, never reshaped into planar points."""
+    rest = np.asarray(rest_vertices, dtype=np.float64)
+    if rest.ndim != 2 or rest.shape[1] != 2:
+        raise ValueError(f"rest_vertices must be an (n, 2) array, got shape {rest.shape}")
+    return rest
+
+
 def inverse_square_weights(vertices, centers, eps: float = WEIGHT_EPS) -> np.ndarray:
     """Default skinning weights: normalized 1 / (|v - c|^2 + eps)."""
     v = np.asarray(vertices, dtype=np.float64)
@@ -61,7 +70,7 @@ def inverse_square_weights(vertices, centers, eps: float = WEIGHT_EPS) -> np.nda
 
 
 def make_rig(rest_vertices, centers, controls=None, weights=None) -> ControlRig:
-    rest_vertices = np.asarray(rest_vertices, dtype=np.float64)
+    rest_vertices = _planar_vertices(rest_vertices)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     if weights is None:
         weights = inverse_square_weights(rest_vertices, centers)

@@ -50,13 +50,13 @@ class SimplexMesh:
     densities: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
+        self.vertices = np.atleast_2d(_real_array(self.vertices, "vertices"))
         if self.vertices.size == 0:
             self.vertices = self.vertices.reshape(0, self.dim)
         self.elements = _node_indices(self.elements)
         if self.elements.ndim == 1:
             self.elements = self.elements.reshape(-1, self.degree + 1)
-        self.densities = np.asarray(self.densities, dtype=np.float64)
+        self.densities = _real_array(self.densities, "densities")
         if self.densities.ndim == 1:
             self.densities = self.densities[:, None]
         for name, array in (("vertices", self.vertices), ("elements", self.elements),
@@ -97,6 +97,14 @@ class SimplexMesh:
     def with_vertices(self, vertices: np.ndarray) -> "SimplexMesh":
         return SimplexMesh(self.dim, self.degree, np.asarray(vertices, float),
                            self.elements, self.densities)
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as float64; complex values are an error, not cast to their
+    real part."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _node_indices(elements) -> np.ndarray:

@@ -20,7 +20,6 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,25 +84,20 @@ def _thread_count(workers: int, n_tiles: int) -> int:
 # ---------------------------------------------------------------------------
 # divided differences of exp(-i s)
 
-def _homogeneous_sums(u: np.ndarray) -> np.ndarray:
-    """Complete homogeneous symmetric sums h_0..h_{T-1} of node-major u
-    (q, ...), terms last."""
-    out = np.zeros((_SERIES_TERMS,) + u.shape[1:])
-    out[0] = 1.0
-    for uq in u:
-        for r in range(1, _SERIES_TERMS):
-            out[r] += uq * out[r - 1]
-    return np.moveaxis(out, 0, -1)
-
-
 def _dd_series_entry(z: np.ndarray, width: int) -> np.ndarray:
     """Series value of the divided difference over all width+1 nodes of the
-    node-major z (width+1, ...), sorted along the node axis."""
+    node-major z (width+1, ...), sorted along the node axis: the complete
+    homogeneous sums h_r of the offsets from the midpoint weigh the Taylor
+    coefficients of exp(-i s) there."""
     center = 0.5 * (z[0] + z[-1])
-    h = _homogeneous_sums(z - center)
+    h = np.zeros((_SERIES_TERMS,) + z.shape[1:])
+    h[0] = 1.0
+    for u in z - center:
+        for r in range(1, _SERIES_TERMS):
+            h[r] += u * h[r - 1]
     r_idx = np.arange(_SERIES_TERMS)
     coef = _NEG_I_POW[(width + r_idx) % 4] / _FACTORIALS[width + r_idx]
-    return np.exp(-1j * center) * (h @ coef)
+    return np.exp(-1j * center) * (np.moveaxis(h, 0, -1) @ coef)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,79 +168,54 @@ def _dd_table(z: np.ndarray, slots: bool):
     return kernel, out
 
 
-class LagrangeKernel(NamedTuple):
-    """Lagrange-form kernel pieces for a batch of phase rows."""
-
-    s: np.ndarray         # summed kernel
-    terms: np.ndarray     # individual terms S_t, node axis first
-    min_gap: np.ndarray   # smallest pairwise phase gap per row
-    amp: np.ndarray       # largest term amplification per row
-    unsafe: np.ndarray    # rows that must use the stable path
-
-
-def _gap_kernel(sig: np.ndarray):
-    """Lagrange pieces of node-major phase slices ``sig`` (n, ...), built from
-    the n(n-1)/2 gaps ``g_tl = sigma_t - sigma_l`` (t < l), and the gaps.
-
-    The denominator of node t multiplies its gaps in ``l`` order, with the
-    sign of ``sigma_t - sigma_l``, as the full difference matrix would.
-    """
-    n = sig.shape[0]
-    pair = {}
-    gaps = np.empty((n * (n - 1) // 2,) + sig.shape[1:])
-    for q, (t, l) in enumerate(zip(*np.triu_indices(n, 1))):
-        pair[t, l] = pair[l, t] = q
-        np.subtract(sig[t], sig[l], out=gaps[q])
-    prod = np.ones(sig.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(n):
-            for l in range(n):
-                if l != t:
-                    prod[t] *= gaps[pair[t, l]]
-            if t % 2:  # one factor sigma_t - sigma_l = -g_lt per l < t
-                np.negative(prod[t], out=prod[t])
-        min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
-        amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
-        terms = np.exp(-1j * sig) / prod
-        s = terms.sum(axis=0)
-    unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
-    return LagrangeKernel(s, terms, min_gap, amp, unsafe), gaps
-
-
 def _kernel(sig: np.ndarray, slots: bool):
     """Kernel S of node-major phase slices sig (n, ...), stability-routed;
     with ``slots`` also the derivative coefficient per node slot (n, ...).
 
-    The slot-p derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p):
-    each gap g_tl (t < l) adds u = (S_t + S_l) / g_tl to slot l and
-    subtracts it from slot t, reusing the kernel's own terms and gaps.
+    One pass over the gaps g_tl = s_t - s_l (t < l) builds the Lagrange
+    terms S_t = exp(-i s_t) / prod_{l != t} (s_t - s_l), each denominator
+    in ``l`` order.  The slot-p derivative is
+    -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each gap adds
+    u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
     Unsafe rows, and with ``slots`` the risky rows the derivative's extra
     1/gap would spoil, take one table each (``_dd_table``): it patches the
     unsafe kernels and every risky slot.  Returns s, or (s, coefs).
     """
-    lk, gaps = _gap_kernel(sig)
-    risky = lk.unsafe
-    if slots:
-        terms = lk.terms
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    pairs = list(zip(*np.triu_indices(sig.shape[0], 1)))
+    gaps = np.empty((len(pairs),) + sig.shape[1:])
+    prod = np.ones(sig.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for q, (t, l) in enumerate(pairs):
+            g = np.subtract(sig[t], sig[l], out=gaps[q])
+            prod[t] *= g
+            prod[l] *= g
+        np.negative(prod[1::2], out=prod[1::2])  # node t has t gaps g_lt = -(s_t - s_l)
+        min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
+        amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
+        terms = np.exp(-1j * sig) / prod
+        del prod
+        s = terms.sum(axis=0)
+        if slots:
             coefs = -1j * terms
-            for q, (t, l) in enumerate(zip(*np.triu_indices(sig.shape[0], 1))):
+            for q, (t, l) in enumerate(pairs):
                 u = terms[t] + terms[l]
                 u *= 1.0 / gaps[q]
                 coefs[l] += u
                 coefs[t] -= u
+    unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
+    risky = unsafe
+    if slots:
         # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
-        gap = np.minimum(np.maximum(lk.min_gap, 1e-300), 1e6)
-        risky = risky | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
-    s = lk.s
+        gap = np.minimum(np.maximum(min_gap, 1e-300), 1e6)
+        risky = unsafe | (amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
     if risky.any():
         kernel = _dd_table(sig[:, risky].T, slots)
         if slots:
             kernel, slot = kernel
             coefs[:, risky] = slot.T
-        if lk.unsafe.any():
-            s = np.where(lk.unsafe, 0.0, s)  # clear the inf/nan placeholders
-            s[lk.unsafe] = kernel[lk.unsafe[risky]]
+        if unsafe.any():
+            s = np.where(unsafe, 0.0, s)  # clear the inf/nan placeholders
+            s[unsafe] = kernel[unsafe[risky]]
     return (s, coefs) if slots else s
 
 
@@ -256,14 +225,6 @@ def _kernel(sig: np.ndarray, slots: bool):
 # Auxnode rasterization applies the simplex transform to the auxiliary
 # simplices (origin, x_1..x_j) of a boundary: the origin adds a zero phase,
 # and the signed weight det(J) replaces j! * content.
-
-def _phases(pts, wavevectors, auxnode: bool) -> np.ndarray:
-    """Node-major phase slices k . x_t, shape (nodes, n_e, n_modes)."""
-    sig = np.matmul(pts.transpose(1, 0, 2), wavevectors.T)
-    if auxnode:
-        sig = np.concatenate([np.zeros((1,) + sig.shape[1:]), sig])
-    return sig
-
 
 def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     """Entry checks of the shared core, then the node coordinates per element
@@ -322,7 +283,10 @@ def _sweep(pts, wavevectors, auxnode: bool, slots: bool, workers, reduce) -> lis
         for t in range(w, n_tiles, workers):
             modes = slice(m_bounds[t], m_bounds[t + 1])
             for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
-                sig = _phases(pts[e0:e1], wavevectors[modes], auxnode)
+                # node-major phases k . x_t (nodes, elements, modes)
+                sig = np.matmul(pts[e0:e1].transpose(1, 0, 2), wavevectors[modes].T)
+                if auxnode:  # the auxiliary origin's zero phase
+                    sig = np.concatenate([np.zeros((1,) + sig.shape[1:]), sig])
                 yield slice(e0, e1), modes, _kernel(sig, slots)
 
     if workers == 1:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
 from .meshcore import SimplexMesh
-from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, loss_smooth, rasterize,
-                       rasterize_backward)
+from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real, loss_smooth,
+                       rasterize, rasterize_backward)
 from .spectral import Raster
 
 VARIABLES = ("vertices", "rig", "pose")
@@ -37,11 +37,13 @@ class Schedule:
     backtrack: bool = True
 
     def __post_init__(self):
-        if not 0 < self.step < np.inf:
-            raise ValueError("step must be positive and finite")
+        _check_real(self.step, "step")
+        if self.step <= 0:
+            raise ValueError(f"step must be positive, got {self.step!r}")
         _check_int(self.max_iters, "max_iters", 0)
-        if not np.isfinite(self.tol):
-            raise ValueError("tol must be finite")
+        _check_real(self.tol, "tol")
+        if not isinstance(self.backtrack, (bool, np.bool_)):
+            raise ValueError(f"backtrack must be true or false, got {self.backtrack!r}")
 
 
 @dataclass
@@ -92,8 +94,11 @@ class FitProblem:
             if self.variable != "vertices":
                 raise ValueError("mres_smooth fits polygon vertices directly")
             self.mesh = _ccw_loop(self.mesh.vertices, self.mesh.elements)
-        if not 0 <= self.smooth_weight < np.inf:
-            raise ValueError("smooth_weight must be >= 0 and finite")
+        for r in self.mres_resolutions:
+            _check_int(r, "mres_resolutions", 2)
+        _check_real(self.smooth_weight, "smooth_weight")
+        if self.smooth_weight < 0:
+            raise ValueError(f"smooth_weight must be >= 0, got {self.smooth_weight!r}")
 
     def initial_state(self) -> np.ndarray:
         if self.variable == "vertices":
@@ -161,7 +166,7 @@ def loss_mres(candidates, target_polygon, config: RasterizeConfig):
     target = _ccw_loop(target_polygon)
     total, grads = 0.0, []
     for polygon, resolution in candidates:
-        cfg = replace(config, resolution=int(resolution), mode="auxnode")
+        cfg = replace(config, resolution=resolution, mode="auxnode")
         value, grad = _raster_term(_ccw_loop(polygon), cfg, rasterize(target, cfg),
                                    squared=False, need_grad=True)
         total += value
@@ -179,7 +184,7 @@ def make_objective(problem: FitProblem):
         target = problem.target
         loop = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
                 else _ccw_loop(target))
-        configs = [replace(problem.config, resolution=int(r), mode="auxnode")
+        configs = [replace(problem.config, resolution=r, mode="auxnode")
                    for r in problem.mres_resolutions]
         terms = [(cfg, rasterize(loop, cfg)) for cfg in configs]
     elif isinstance(problem.target, Raster):

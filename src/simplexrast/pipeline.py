@@ -9,6 +9,8 @@ also works for non-convex shapes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +51,12 @@ def _check_int(value, name: str, minimum: int) -> None:
     """An integer (numpy integers too, bool not) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """A finite real number (numpy floats too, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_strict(mesh: SimplexMesh, config: RasterizeConfig) -> None:

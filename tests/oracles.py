@@ -17,9 +17,10 @@ from simplexrast.meshcore import DEGENERACY_EPS, content
 from simplexrast.nuft import (
     _DS_AMP_MAX,
     _I_POW,
+    _LAGRANGE_AMP_MAX,
     _SERIES_SPAN,
+    EPS_CONFLUENT,
     _dd_series_entry,
-    _gap_kernel,
     _kernel,
 )
 from simplexrast.pipeline import rasterize
@@ -56,9 +57,35 @@ def eval_S(sigmas) -> complex:
 
 
 def lagrange_terms(sig: np.ndarray):
-    """Lagrange pieces of phase rows (..., n), terms with the node axis last."""
-    lk = _gap_kernel(np.moveaxis(sig, -1, 0))[0]
-    return lk._replace(terms=np.moveaxis(lk.terms, 0, -1))
+    """Lagrange form of the kernel over phase rows (..., n), node by node.
+
+    Term t is exp(-i s_t) / prod_{l != t} (s_t - s_l), its factors taken in
+    ``l`` order, and the sum adds the terms in node order.  Rows whose
+    smallest gap or largest term amplification crosses the library's
+    thresholds are flagged unsafe.  Returns s, terms (node axis last),
+    min_gap, amp and unsafe.
+    """
+    sig = np.asarray(sig, dtype=np.float64)
+    n = sig.shape[-1]
+    terms = np.empty(sig.shape, dtype=np.complex128)
+    min_gap = np.full(sig.shape[:-1], np.inf)
+    min_prod = np.full(sig.shape[:-1], np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(n):
+            prod = np.ones(sig.shape[:-1])
+            for l in range(n):
+                if l != t:
+                    gap = sig[..., t] - sig[..., l]
+                    prod = prod * gap
+                    min_gap = np.minimum(min_gap, np.abs(gap))
+            min_prod = np.minimum(min_prod, np.abs(prod))
+            terms[..., t] = np.exp(-1j * sig[..., t]) / prod
+        s = terms[..., 0]
+        for t in range(1, n):
+            s = s + terms[..., t]
+        amp = 1.0 / np.maximum(min_prod, 1e-300)
+    unsafe = (min_gap <= EPS_CONFLUENT) | (amp >= _LAGRANGE_AMP_MAX)
+    return SimpleNamespace(s=s, terms=terms, min_gap=min_gap, amp=amp, unsafe=unsafe)
 
 
 def kernel_batch(sig):

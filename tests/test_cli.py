@@ -361,6 +361,17 @@ class TestMalformedInput:
         ({"filter_width": 1e200}, "filter_width"),
         ({"pose": {"q": [[1, 0], [0, 1]]}}, "pose q"),
         ({"pose": {"q": [1, 0, 0, 0], "pivot": [0.5, 0.5]}}, "pose pivot"),
+        # values the library would have to round, parse or coerce
+        ({"resolution": 8.5}, "resolution"),
+        ({"max_iters": 2.7}, "max_iters"),
+        ({"mres_resolutions": [8.9, 16]}, "mres_resolutions"),
+        ({"resolution": "16"}, "resolution"),
+        ({"backtrack": "false"}, "backtrack"),
+        ({"filter_width": "2"}, "filter_width"),
+        ({"snapshot_every": 2.5}, "snapshot_every"),
+        ({"step": "1e-3"}, "step"),
+        ({"tol": [0.0]}, "tol"),
+        ({"smooth_weight": "0.5"}, "smooth_weight"),
     ])
     def test_out_of_range_fit_value_exit_1(self, tmp_path, capsys, change, named):
         path = write_json(tmp_path / "p.json", dict(_square_fit_spec(tmp_path), **change))
@@ -379,11 +390,11 @@ class TestMalformedInput:
         spec = dict(_square_fit_spec(tmp_path), variable="rig", mode="simplex",
                     mesh=write_json(tmp_path / "tet.json", tet),
                     target_mesh=write_json(tmp_path / "tet.json", tet),
-                    # 12 coordinates read as 6 planar rig vertices
+                    # weight rows that fit the 12 coordinates read as 6 planar vertices
                     rig={"centers": [[0.5, 0.5]], "weights": [[1.0]] * 6})
         path = write_json(tmp_path / "p.json", spec)
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
-        assert "rig variable needs a 2D mesh, got dim=3" in capsys.readouterr().err
+        assert "rest_vertices must be an (n, 2) array, got shape (4, 3)" in capsys.readouterr().err
 
     def test_fit_top_level_array_exit_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", [1, 2])

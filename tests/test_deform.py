@@ -56,6 +56,15 @@ class TestLbsApply:
         with pytest.raises(ValueError):
             sr.lbs_apply(replace(negative, weights=w))
 
+    @pytest.mark.parametrize("rest", [np.zeros((4, 3)), np.zeros(12), np.zeros((2, 3, 2))],
+                             ids=["3d", "flat", "stacked"])
+    def test_rest_vertices_not_reshaped(self, rest):
+        # 12 coordinates are not 6 planar vertices
+        with pytest.raises(ValueError, match=r"rest_vertices .* got shape"):
+            sr.ControlRig(np.zeros((1, 3)), [[0.5, 0.5]], np.ones((6, 1)), rest)
+        with pytest.raises(ValueError, match=r"rest_vertices .* got shape"):
+            sr.make_rig(rest, centers=[[0.5, 0.5]], weights=np.ones((6, 1)))
+
     def test_default_weights_normalized(self, verts):
         w = sr.inverse_square_weights(verts, np.array([[0.2, 0.2], [0.8, 0.8]]))
         assert np.all(w >= 0)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplexrast as sr
 
@@ -43,6 +45,63 @@ def test_strict_rule_same_in_both_passes(probe):
           else contextlib.nullcontext()):
         grad = sr.rasterize_backward(mesh, lax, cot)
     assert np.all(np.isfinite(grad.d_vertices))
+
+
+@st.composite
+def _mesh_args(draw):
+    """SimplexMesh arguments with at most one flaw: a wrong dim, degree or
+    array shape, an index out of range, a NaN or infinite value, or complex
+    vertices or densities.  Values are otherwise finite in +-10, indices in
+    range."""
+    flaw = draw(st.sampled_from([None] * 8 + ["dim", "degree", "cols", "nodes", "rows",
+                                              "channels", "index", "vertex", "density",
+                                              "complex vertices", "complex densities"]))
+    dim = draw(st.sampled_from([1, 4] if flaw == "dim" else [2, 3]))
+    degree = draw(st.sampled_from([-1, 4]) if flaw == "degree" else st.integers(0, dim))
+    n_vertices, n_elements = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+
+    def size(right, wrong):
+        return draw(st.integers(0, 4).filter(lambda n: n != right)) if wrong else right
+
+    def array(strategy, shape, dtype, bad=()):
+        n = int(np.prod(shape))
+        values = draw(st.lists(strategy, min_size=n, max_size=n))
+        if bad and n:
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(bad))
+        return np.array(values, dtype=dtype).reshape(shape)
+
+    non_finite = [float("nan"), float("inf"), -float("inf")]
+    channels = 0 if flaw == "channels" else draw(st.sampled_from([None, 1, 2]))
+    rows = size(n_elements, flaw == "rows")
+    vertices = array(st.floats(-10, 10), (n_vertices, size(dim, flaw == "cols")), float,
+                     non_finite if flaw == "vertex" else ())
+    elements = array(st.integers(0, n_vertices - 1),
+                     (n_elements, size(degree + 1, flaw == "nodes")), np.int64,
+                     [-2, -1, n_vertices, n_vertices + 1] if flaw == "index" else ())
+    densities = array(st.floats(-10, 10), (rows,) if channels is None else (rows, channels),
+                      float, non_finite if flaw == "density" else ())
+    if flaw == "complex vertices":  # an array, and below a list
+        vertices = vertices + 1j
+    if flaw == "complex densities":
+        densities = (densities + 1j).tolist()
+    return dim, degree, vertices, elements, densities
+
+
+@pytest.mark.filterwarnings(r"ignore:\d+ degenerate elements:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(args=_mesh_args(), mode=st.sampled_from(sr.pipeline.MODES), strict=st.booleans())
+def test_library_boundary_never_uncaught(args, mode, strict):
+    """Any mesh either fails as a ValueError or runs both passes to finite
+    outputs; a mesh the forward pass accepts, the backward pass accepts too."""
+    config = sr.RasterizeConfig(4, mode=mode, strict=strict)
+    try:
+        mesh = sr.SimplexMesh(*args)
+        raster = sr.rasterize(mesh, config)
+    except ValueError:
+        return
+    grad = sr.rasterize_backward(mesh, config, np.ones_like(raster.values))
+    for out in (raster.values, grad.d_vertices, grad.d_densities):
+        assert np.all(np.isfinite(out))
 
 
 class TestRasterize:
