@@ -28,6 +28,7 @@ from .meshcore import (
     DEGENERACY_EPS,
     MeshValidationError,
     SimplexMesh,
+    boundary_closure_defect,
     content,
     element_contents,
     load_mesh,
@@ -37,7 +38,6 @@ from .meshcore import (
 )
 from .nuft import (
     EPS_CONFLUENT,
-    boundary_closure_defect,
     forward_auxnode,
     forward_mesh,
 )
@@ -72,7 +72,6 @@ from .sampling import (
     random_simple_polygon,
 )
 from .spectral import (
-    GaussianFilter,
     Raster,
     SpectralField,
     SpectralGrid,

@@ -22,7 +22,6 @@ from . import __version__
 from .deform import PoseQuat, make_rig
 from .gradients import backward_mesh, numeric_backward
 from .meshcore import MeshValidationError, _nonfinite_violations, load_mesh, save_mesh
-from .nuft import resolve_workers
 from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
     RasterizeConfig,
@@ -149,7 +148,7 @@ def run_bench(j_list, points_list, res_list, reps, d=3, seed=0, h=1e-6,
 
 
 def cmd_bench(args) -> int:
-    workers = 1 if args.single_thread else resolve_workers(None)
+    workers = 1 if args.single_thread else None  # None: DDSL_WORKERS
     records = run_bench(_parse_int_list(args.j), _parse_int_list(args.points),
                         _parse_int_list(args.res), args.reps, d=args.d,
                         seed=args.seed, workers=workers)
@@ -180,9 +179,21 @@ def _finite_mesh(mesh, role: str):
     return mesh
 
 
-def _json_object(value, what: str) -> dict:
+#: the keys a fit spec, its ``rig`` and its ``pose`` may hold; any other is a typo
+_FIT_KEYS = ("mesh", "target_mesh", "target_raster", "resolution", "filter_width", "mode",
+             "step", "max_iters", "tol", "backtrack", "snapshot_every", "rig", "pose",
+             "variable", "loss", "smooth_weight", "mres_resolutions")
+_RIG_KEYS = ("centers", "controls", "weights")
+_POSE_KEYS = ("q", "t", "pivot")
+
+
+def _json_object(value, what: str, keys=None) -> dict:
+    """``value`` if it is a JSON object holding none but ``keys`` (any, if None)."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = [] if keys is None else [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r} (known: {', '.join(keys)})")
     return value
 
 
@@ -190,7 +201,7 @@ def _load_fit_problem(path) -> tuple[FitProblem, int]:
     """The fit problem a JSON spec describes, and its snapshot interval
     (0: none).  A value of the wrong type is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        spec = _json_object(json.load(fh), "fit problem")
+        spec = _json_object(json.load(fh), "fit problem", _FIT_KEYS)
     try:
         problem = _fit_problem(spec)
     except (TypeError, OverflowError) as exc:  # e.g. null where a list belongs
@@ -217,13 +228,13 @@ def _fit_problem(spec: dict) -> FitProblem:
                         backtrack=spec.get("backtrack", True))
     rig = None
     if spec.get("rig"):
-        rig_spec = _json_object(spec["rig"], "rig")
+        rig_spec = _json_object(spec["rig"], "rig", _RIG_KEYS)
         rig = make_rig(mesh.vertices, rig_spec["centers"],
                        controls=rig_spec.get("controls"),
                        weights=rig_spec.get("weights"))
     pose = None
     if spec.get("pose"):
-        pose_spec = _json_object(spec["pose"], "pose")
+        pose_spec = _json_object(spec["pose"], "pose", _POSE_KEYS)
         pose = PoseQuat(pose_spec.get("q", [1, 0, 0, 0]),
                         pose_spec.get("t", [0, 0, 0]),
                         pose_spec.get("pivot"))

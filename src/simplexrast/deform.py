@@ -31,10 +31,10 @@ class ControlRig:
     rest_vertices: np.ndarray
 
     def __post_init__(self):
-        self.controls = np.asarray(self.controls, dtype=np.float64).reshape(-1, 3)
-        self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 2)
+        self.controls = _rows(self.controls, 3, "controls")
+        self.centers = _rows(self.centers, 2, "centers")
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.rest_vertices = _planar_vertices(self.rest_vertices)
+        self.rest_vertices = _rows(self.rest_vertices, 2, "rest_vertices")
         if self.controls.shape[0] != self.centers.shape[0]:
             raise ValueError("one control row per center required")
         if self.weights.shape != (self.rest_vertices.shape[0], self.centers.shape[0]):
@@ -51,13 +51,13 @@ class ControlRig:
             raise ValueError("skinning weight rows must sum to 1")
 
 
-def _planar_vertices(rest_vertices) -> np.ndarray:
-    """``rest_vertices`` as an (n, 2) float array; any other shape is an
-    error, never reshaped into planar points."""
-    rest = np.asarray(rest_vertices, dtype=np.float64)
-    if rest.ndim != 2 or rest.shape[1] != 2:
-        raise ValueError(f"rest_vertices must be an (n, 2) array, got shape {rest.shape}")
-    return rest
+def _rows(value, width: int, name: str) -> np.ndarray:
+    """``value`` as an (n, width) float array; any other shape is an error,
+    never reshaped into rows."""
+    rows = np.asarray(value, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be an (n, {width}) array, got shape {rows.shape}")
+    return rows
 
 
 def inverse_square_weights(vertices, centers, eps: float = WEIGHT_EPS) -> np.ndarray:
@@ -70,8 +70,8 @@ def inverse_square_weights(vertices, centers, eps: float = WEIGHT_EPS) -> np.nda
 
 
 def make_rig(rest_vertices, centers, controls=None, weights=None) -> ControlRig:
-    rest_vertices = _planar_vertices(rest_vertices)
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    rest_vertices = _rows(rest_vertices, 2, "rest_vertices")
+    centers = _rows(centers, 2, "centers")
     if weights is None:
         weights = inverse_square_weights(rest_vertices, centers)
     if controls is None:

@@ -154,5 +154,7 @@ def numeric_backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralF
     Every probe transforms the whole mesh: Theta((j+1) n_e^2 m) against
     the analytic pass's Theta((j+1) n_e m).
     """
-    forward = forward_mesh if mode == "simplex" else forward_auxnode
+    forward = {"simplex": forward_mesh, "auxnode": forward_auxnode}.get(mode)
+    if forward is None:
+        raise ValueError(f"mode must be 'simplex' or 'auxnode', got {mode!r}")
     return _central_differences(mesh, forward, grid, cotangent, h, local=False)

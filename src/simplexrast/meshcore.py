@@ -174,12 +174,6 @@ def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
     return v
 
 
-def require_valid(mesh: SimplexMesh, strict: bool = False) -> None:
-    violations = validate(mesh, strict=strict)
-    if violations:
-        raise MeshValidationError(violations)
-
-
 def _index_violations(mesh: SimplexMesh) -> tuple[np.ndarray, list[str]]:
     """Elements with a node index outside [0, n_vertices): mask and messages."""
     bad = ((mesh.elements < 0) | (mesh.elements >= mesh.n_vertices)).any(axis=1)
@@ -241,6 +235,23 @@ def _cofactor_rows(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
 
 
+def boundary_closure_defect(mesh: SimplexMesh) -> float:
+    """Norm of the summed oriented boundary measure, relative to its total.
+
+    Zero (to round-off) exactly when the signed auxnode contributions
+    telescope: a watertight, consistently oriented boundary.  An element's
+    cofactor rows (the gradient of its weight det J) sum to its measure,
+    turned 90 degrees in 2D and doubled in 3D; the ratio sees neither.
+    """
+    if (mesh.dim, mesh.degree) not in ((2, 1), (3, 2)):
+        raise ValueError("boundary closure defined for (dim=2, degree=1) and (dim=3, degree=2)")
+    measures = _cofactor_rows(mesh.element_points()).sum(axis=1)
+    total = np.linalg.norm(measures, axis=1).sum()
+    if total == 0.0:
+        return 0.0
+    return float(np.linalg.norm(measures.sum(axis=0)) / total)
+
+
 def _weight_gradients(pts: np.ndarray, weights: np.ndarray,
                       auxnode: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of each element weight per vertex slot, shape (n_e, j+1, d),
@@ -297,11 +308,11 @@ def mesh_from_dict(data: dict) -> SimplexMesh:
         raise ValueError(f"mesh JSON has a value of the wrong type: {exc}") from exc
 
 
-def _json_int(value, name: str) -> int:
+def _json_int(value, name: str, what: str = "mesh JSON") -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"mesh JSON {name!r} must be an integer, got {value!r}")
+        raise ValueError(f"{what} {name!r} must be an integer, got {value!r}")
     return value
 
 

@@ -56,28 +56,21 @@ _SERIES_TERMS = 12
 # per worker at a few MiB whatever the size of the mesh x grid product.
 _TILE_PAIRS = 1 << 15
 
-_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)      # exact i**n cycle
-_NEG_I_POW = np.array([1, -1j, -1, 1j], dtype=np.complex128)  # exact (-i)**n cycle
+_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)  # exact i**n cycle; (-i)**n at -n % 4
 _FACTORIALS = np.array([math.factorial(n) for n in range(_SERIES_TERMS + 8)], dtype=np.float64)
 
 
-def resolve_workers(workers=None) -> int:
-    """Worker count: explicit argument, else DDSL_WORKERS, else 1.
-
-    The threads one call starts are capped further by ``_thread_count``.
-    """
+def _thread_count(workers, n_tiles: int) -> int:
+    """Threads for one call: the ``workers`` argument, else DDSL_WORKERS,
+    else 1, capped by the mode-tile count and by ``os.cpu_count()``, so a
+    huge DDSL_WORKERS starts no more threads than there are CPUs.  A count
+    that is not an integer >= 1 is an error naming where it came from."""
+    source = "workers"
     if workers is None:
-        workers = os.environ.get("DDSL_WORKERS", "1")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
-
-
-def _thread_count(workers: int, n_tiles: int) -> int:
-    """Threads for one call: the worker count capped by the mode-tile count
-    and by ``os.cpu_count()``, so a huge DDSL_WORKERS starts no more
-    threads than there are CPUs."""
+        source, workers = "DDSL_WORKERS", os.environ.get("DDSL_WORKERS", "1")
+        workers = int(workers) if workers.isdecimal() else workers
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")
     return min(workers, n_tiles, os.cpu_count() or 1)
 
 
@@ -96,7 +89,7 @@ def _dd_series_entry(z: np.ndarray, width: int) -> np.ndarray:
         for r in range(1, _SERIES_TERMS):
             h[r] += u * h[r - 1]
     r_idx = np.arange(_SERIES_TERMS)
-    coef = _NEG_I_POW[(width + r_idx) % 4] / _FACTORIALS[width + r_idx]
+    coef = _I_POW[-(width + r_idx) % 4] / _FACTORIALS[width + r_idx]
     return np.exp(-1j * center) * (np.moveaxis(h, 0, -1) @ coef)
 
 
@@ -214,7 +207,6 @@ def _kernel(sig: np.ndarray, slots: bool):
             kernel, slot = kernel
             coefs[:, risky] = slot.T
         if unsafe.any():
-            s = np.where(unsafe, 0.0, s)  # clear the inf/nan placeholders
             s[unsafe] = kernel[unsafe[risky]]
     return (s, coefs) if slots else s
 
@@ -277,7 +269,7 @@ def _sweep(pts, wavevectors, auxnode: bool, slots: bool, workers, reduce) -> lis
     """
     e_bounds, m_bounds = _tiles(len(pts), len(wavevectors))
     n_tiles = len(m_bounds) - 1
-    workers = _thread_count(resolve_workers(workers), n_tiles)
+    workers = _thread_count(workers, n_tiles)
 
     def tiles(w):
         for t in range(w, n_tiles, workers):
@@ -320,27 +312,6 @@ def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, workers=None) -> Spectra
 
 # ---------------------------------------------------------------------------
 # auxiliary-node transform of a watertight boundary
-
-def boundary_closure_defect(mesh: SimplexMesh) -> float:
-    """Norm of the summed oriented boundary measure, relative to its total.
-
-    Zero (to round-off) for a watertight, consistently oriented boundary;
-    used as the strict-mode orientation check because a non-zero defect is
-    exactly what makes the signed-content telescoping (and hence the DC
-    coefficient) pivot-dependent.
-    """
-    pts = mesh.element_points()
-    if mesh.dim == 2 and mesh.degree == 1:
-        measures = pts[:, 1, :] - pts[:, 0, :]
-    elif mesh.dim == 3 and mesh.degree == 2:
-        measures = 0.5 * np.cross(pts[:, 1, :] - pts[:, 0, :], pts[:, 2, :] - pts[:, 0, :])
-    else:
-        raise ValueError("boundary closure defined for (dim=2, degree=1) and (dim=3, degree=2)")
-    total = np.linalg.norm(measures, axis=1).sum()
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(measures.sum(axis=0)) / total)
-
 
 def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
                     workers=None) -> SpectralField:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
-from .meshcore import MeshValidationError, SimplexMesh, require_valid
-from .nuft import boundary_closure_defect, forward_auxnode, forward_mesh
+from .meshcore import MeshValidationError, SimplexMesh, boundary_closure_defect, validate
+from .nuft import forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
     _filter_width,
@@ -62,17 +62,18 @@ def _check_real(value, name: str) -> None:
 def _check_strict(mesh: SimplexMesh, config: RasterizeConfig) -> None:
     """The strict rule, one for every pass: with ``config.strict`` the mesh
     must pass ``validate`` (in simplex mode also without degenerate
-    elements), and an auxnode boundary must be watertight and consistently
+    elements), then an auxnode boundary must be watertight and consistently
     oriented.  A wrong auxnode degree is left to the transform's own check."""
     if not config.strict:
         return
-    require_valid(mesh, strict=config.mode == "simplex")
-    if config.mode == "auxnode" and mesh.degree == mesh.dim - 1:
+    violations = validate(mesh, strict=config.mode == "simplex")
+    if not violations and config.mode == "auxnode" and mesh.degree == mesh.dim - 1:
         defect = boundary_closure_defect(mesh)
         if defect > 1e-9:
-            raise MeshValidationError(
-                [f"boundary not watertight or inconsistently oriented "
-                 f"(closure defect {defect:.3e})"])
+            violations.append(f"boundary not watertight or inconsistently oriented "
+                              f"(closure defect {defect:.3e})")
+    if violations:
+        raise MeshValidationError(violations)
 
 
 def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .meshcore import _json_int
+
 
 @dataclass
 class SpectralGrid:
@@ -125,14 +127,6 @@ class Raster:
         return self.values.shape[-1]
 
 
-@dataclass
-class GaussianFilter:
-    """Low-pass gains exp(-2 pi^2 g^2 |m|^2 / R^2); unit gain at DC."""
-
-    width_cells: float
-    gains: np.ndarray
-
-
 def _filter_width(width) -> float:
     """``width`` as a float if it is a positive real number and the gain
     exponent's factor 2 pi^2 width^2 is a finite float (so the DC gain is
@@ -145,18 +139,18 @@ def _filter_width(width) -> float:
                      f"float, got {width!r}")
 
 
-def gaussian_filter(grid: SpectralGrid, width_cells: float) -> GaussianFilter:
+def gaussian_filter(grid: SpectralGrid, width_cells: float) -> np.ndarray:
+    """Low-pass gain per mode, exp(-2 pi^2 g^2 |m|^2 / R^2); unit gain at DC."""
     width_cells = _filter_width(width_cells)
     m2 = np.einsum("md,md->m", grid.modes, grid.modes).astype(np.float64)
     with np.errstate(over="ignore"):  # a huge width sends the non-DC gains to exactly 0
-        gains = np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
-    return GaussianFilter(width_cells=width_cells, gains=gains)
+        return np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
 
 
-def apply_filter(f: SpectralField, filt: GaussianFilter) -> SpectralField:
-    if filt.gains.shape[0] != f.grid.n_modes:
+def apply_filter(f: SpectralField, gains: np.ndarray) -> SpectralField:
+    if gains.shape[0] != f.grid.n_modes:
         raise ValueError("filter was built for a different grid")
-    return SpectralField(f.grid, f.coeffs * filt.gains[:, None])
+    return SpectralField(f.grid, f.coeffs * gains[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +223,8 @@ def load_raster(path) -> Raster:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"raster sidecar {sidecar} must be a JSON object")
-    try:
-        dim, res, channels = int(meta["dim"]), int(meta["resolution"]), int(meta["channels"])
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"raster sidecar {sidecar}: {exc}") from exc
+    dim, res, channels = (_json_int(meta[key], key, f"raster sidecar {sidecar}")
+                          for key in ("dim", "resolution", "channels"))
     values = np.fromfile(path, dtype="<f4").astype(np.float64)
     values = values.reshape((res,) * dim + (channels,))
     return Raster(dim=dim, resolution=res, values=values)

@@ -7,7 +7,7 @@ import simplexrast as sr
 
 PUBLIC_NAMES = """
     ControlRig DEGENERACY_EPS EPS_CONFLUENT FitDivergedError
-    FitProblem FitResult GaussianFilter MeshGradient MeshValidationError PoseQuat Raster
+    FitProblem FitResult MeshGradient MeshValidationError PoseQuat Raster
     RasterizeConfig Schedule SimplexMesh SpectralField SpectralGrid TrajectoryPoint
     adjoint_transform apply_filter backward_auxnode backward_mesh boundary_closure_defect
     build_grid content element_contents finite_difference_gradient fit forward_auxnode

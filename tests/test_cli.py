@@ -21,6 +21,8 @@ UNIT_TRIANGLE = {"dim": 2, "degree": 2,
                  "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                  "elements": [[0, 1, 2]], "densities": [1.0]}
 SQUARE = [[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.3, 0.7]]
+TET = {"dim": 3, "degree": 3, "elements": [[0, 1, 2, 3]], "densities": [1.0],
+       "vertices": [[0.2, 0.2, 0.2], [0.7, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.2, 0.7]]}
 
 
 def write_json(path, payload):
@@ -298,6 +300,22 @@ class TestFitCommand:
         path = write_json(tmp_path / "p.json", problem)
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
 
+    def test_target_raster_from_rasterize_command(self, tmp_path):
+        """A target raster written by ``simplexrast rasterize`` drives a fit."""
+        self.make_problem(tmp_path, (0.05, 0.0))
+        target = str(tmp_path / "target.f32")
+        assert main(["rasterize", "--mesh", str(tmp_path / "target.json"), "--res", "16",
+                     "--mode", "auxnode", "--out", target]) == 0
+        problem = json.loads((tmp_path / "problem.json").read_text())
+        del problem["target_mesh"]
+        problem.update(target_raster=target, max_iters=10)
+        path = write_json(tmp_path / "raster_target.json", problem)
+        out = tmp_path / "run"
+        assert main(["fit", "--problem", path, "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            losses = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+        assert len(losses) > 1 and losses[-1] < losses[0]
+        assert np.all(np.diff(losses) <= 0.0)
 
     @pytest.mark.parametrize("role", ["mesh", "target_mesh"])
     def test_mres_loop_out_of_order_exit_2(self, tmp_path, capsys, role):
@@ -385,16 +403,32 @@ class TestMalformedInput:
         assert "pose variable needs a 3D mesh, got dim=2" in capsys.readouterr().err
 
     def test_rig_on_3d_mesh_exit_1(self, tmp_path, capsys):
-        tet = {"dim": 3, "degree": 3, "elements": [[0, 1, 2, 3]], "densities": [1.0],
-               "vertices": [[0.2, 0.2, 0.2], [0.7, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.2, 0.7]]}
         spec = dict(_square_fit_spec(tmp_path), variable="rig", mode="simplex",
-                    mesh=write_json(tmp_path / "tet.json", tet),
-                    target_mesh=write_json(tmp_path / "tet.json", tet),
+                    mesh=write_json(tmp_path / "tet.json", TET),
+                    target_mesh=write_json(tmp_path / "tet.json", TET),
                     # weight rows that fit the 12 coordinates read as 6 planar vertices
                     rig={"centers": [[0.5, 0.5]], "weights": [[1.0]] * 6})
         path = write_json(tmp_path / "p.json", spec)
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
         assert "rest_vertices must be an (n, 2) array, got shape (4, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,key", [
+        ({"max_iter": 2}, "max_iter"),
+        ({"variable": "pose", "mode": "simplex",
+          "pose": {"q": [1, 0, 0, 0], "pivots": [0.5, 0.5, 0.5]}}, "pivots"),
+        ({"variable": "rig", "rig": {"centers": [[0.5, 0.5]], "control": [[0.0, 0.0, 0.1]]}},
+         "control"),
+    ], ids=["top level", "pose", "rig"])
+    def test_unknown_fit_key_exit_1(self, tmp_path, capsys, change, key):
+        """A misspelled key is an error, not a default silently kept."""
+        spec = dict(_square_fit_spec(tmp_path), **change)
+        if change.get("variable") == "pose":  # a pose fit of a tetrahedron, without the rig
+            spec["mesh"] = spec["target_mesh"] = write_json(tmp_path / "tet.json", TET)
+            del spec["rig"]
+        path = write_json(tmp_path / "p.json", spec)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err and "Traceback" not in err
 
     def test_fit_top_level_array_exit_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", [1, 2])

@@ -65,6 +65,20 @@ class TestLbsApply:
         with pytest.raises(ValueError, match=r"rest_vertices .* got shape"):
             sr.make_rig(rest, centers=[[0.5, 0.5]], weights=np.ones((6, 1)))
 
+    @pytest.mark.parametrize("centers,controls,field", [
+        ([[0.1, 0.2, 0.3, 0.4]], None, "centers"),  # four numbers are not two centers
+        ([0.5, 0.5], None, "centers"),
+        ([[0.5, 0.5]], [0.0, 0.0, 0.1], "controls"),
+        ([[0.5, 0.5], [0.2, 0.2]], [[0.0, 0.0, 0.1, 0.2, 0.0, 0.0]], "controls"),
+    ])
+    def test_controls_and_centers_not_reshaped(self, verts, centers, controls, field):
+        message = rf"{field} must be an \(n, [23]\) array, got shape"
+        with pytest.raises(ValueError, match=message):
+            sr.make_rig(verts, centers, controls=controls)
+        with pytest.raises(ValueError, match=message):
+            sr.ControlRig(np.zeros((1, 3)) if controls is None else controls, centers,
+                          np.ones((len(verts), 1)), verts)
+
     def test_default_weights_normalized(self, verts):
         w = sr.inverse_square_weights(verts, np.array([[0.2, 0.2], [0.8, 0.8]]))
         assert np.all(w >= 0)

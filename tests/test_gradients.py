@@ -341,6 +341,15 @@ class TestNumericBackward:
         with pytest.raises(ValueError):
             sr.numeric_backward(mesh, grid, oracles.random_spectral_cotangent(grid, rng), h=0)
 
+    @pytest.mark.parametrize("mode", ["simplx", "Auxnode", None])
+    def test_unknown_mode_rejected(self, rng, mode):
+        """A misspelled mode names itself; it does not run the auxnode transform."""
+        mesh = sr.random_mesh(1, 2, 4, rng)
+        grid = sr.build_grid(2, 4)
+        with pytest.raises(ValueError, match=repr(mode)):
+            sr.numeric_backward(mesh, grid, oracles.random_spectral_cotangent(grid, rng),
+                                mode=mode)
+
 
 class TestBackwardAuxnode:
     def test_matches_finite_differences(self, rng):

@@ -425,12 +425,31 @@ def test_imaginary_power_cycle():
 
 
 def test_resolve_workers_env(monkeypatch):
+    """The argument wins over DDSL_WORKERS; both are read by the pure helper,
+    so no thread is started."""
     monkeypatch.setenv("DDSL_WORKERS", "3")
-    assert sr.nuft.resolve_workers(None) == 3
-    assert sr.nuft.resolve_workers(2) == 2
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
+    assert sr.nuft._thread_count(None, 10) == 3
+    assert sr.nuft._thread_count(2, 10) == 2
     monkeypatch.setenv("DDSL_WORKERS", "0")
     with pytest.raises(ValueError):
-        sr.nuft.resolve_workers(None)
+        sr.nuft._thread_count(None, 10)
+
+
+@pytest.mark.parametrize("workers,env,source", [
+    (2.7, None, "workers"), (True, None, "workers"), (0, None, "workers"), ("2", None, "workers"),
+    (None, "2.5", "DDSL_WORKERS"), (None, "0", "DDSL_WORKERS"), (None, "-1", "DDSL_WORKERS"),
+    (None, "", "DDSL_WORKERS")])
+def test_worker_count_must_be_integer(monkeypatch, workers, env, source):
+    """A count that is not an integer >= 1 is an error naming its source, not
+    truncated; checked on the pure helper and on a transform."""
+    if env is not None:
+        monkeypatch.setenv("DDSL_WORKERS", env)
+    with pytest.raises(ValueError, match=f"{source} must be an integer >= 1, got"):
+        sr.nuft._thread_count(workers, 10)
+    mesh = sr.SimplexMesh(2, 2, SQUARE, [[0, 1, 2]], [1.0])
+    with pytest.raises(ValueError, match=source):
+        sr.forward_mesh(mesh, sr.build_grid(2, 4), workers=workers)
 
 
 @pytest.mark.parametrize("n_elements,n_modes,n_tiles", [
@@ -459,8 +478,7 @@ def test_thread_count_clamped_to_cpus(monkeypatch):
     on the pure helper, so no thread is started."""
     monkeypatch.setenv("DDSL_WORKERS", "100000")
     monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
-    workers = sr.nuft.resolve_workers(None)
-    assert sr.nuft._thread_count(workers, 10**6) == 4
-    assert sr.nuft._thread_count(workers, 3) == 3
+    assert sr.nuft._thread_count(None, 10**6) == 4
+    assert sr.nuft._thread_count(None, 3) == 3
     monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: None)
-    assert sr.nuft._thread_count(workers, 10**6) == 1
+    assert sr.nuft._thread_count(None, 10**6) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ class TestFit:
         problem = square_problem(step=0.05, max_iters=60)  # oversized step
         result = sr.fit(problem)
         assert np.all(np.diff(result.losses) <= 0.0)
+
+    def test_raster_target_matches_mesh_target(self):
+        """A target given as its raster fits exactly as the mesh it came from."""
+        problem = square_problem(max_iters=15)
+        from_mesh = sr.fit(problem)
+        raster = sr.rasterize(problem.target, problem.config)
+        from_raster = sr.fit(replace(problem, target=raster))
+        assert from_raster.losses.tolist() == from_mesh.losses.tolist()
+
+    def test_halving_budget_stops_the_fit(self, monkeypatch):
+        monkeypatch.setattr(sr.optimizer, "_MAX_HALVINGS", 0)
+        result = sr.fit(square_problem(step=0.05, max_iters=60))  # the first step overshoots
+        assert result.converged
+        assert result.message == "no descent direction within the halving budget"
+        assert len(result.trajectory) == 1
 
     def test_deterministic(self):
         a = sr.fit(square_problem(max_iters=25))

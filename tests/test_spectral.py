@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -39,23 +41,23 @@ class TestBuildGrid:
 class TestGaussianFilter:
     def test_unit_dc_gain(self):
         grid = sr.build_grid(2, 16)
-        filt = sr.gaussian_filter(grid, 2.0)
+        gains = sr.gaussian_filter(grid, 2.0)
         dc = np.all(grid.modes == 0, axis=1)
-        assert filt.gains[dc][0] == 1.0
+        assert gains[dc][0] == 1.0
 
     def test_gains_bounded_monotone(self):
         grid = sr.build_grid(2, 16)
-        filt = sr.gaussian_filter(grid, 1.5)
-        assert np.all(filt.gains > 0) and np.all(filt.gains <= 1)
+        gains = sr.gaussian_filter(grid, 1.5)
+        assert np.all(gains > 0) and np.all(gains <= 1)
         m2 = np.einsum("md,md->m", grid.modes, grid.modes)
         order = np.argsort(m2)
-        assert np.all(np.diff(filt.gains[order]) <= 1e-15)
+        assert np.all(np.diff(gains[order]) <= 1e-15)
 
     def test_nyquist_gain(self):
         grid = sr.build_grid(2, 16)
-        filt = sr.gaussian_filter(grid, 1.0)
+        gains = sr.gaussian_filter(grid, 1.0)
         nyq = np.all(grid.modes == [0, 8], axis=1)
-        assert filt.gains[nyq][0] == pytest.approx(np.exp(-np.pi ** 2 / 2), rel=1e-12)
+        assert gains[nyq][0] == pytest.approx(np.exp(-np.pi ** 2 / 2), rel=1e-12)
 
     def test_vanishing_width_is_identity(self, rng):
         grid = sr.build_grid(2, 8)
@@ -85,7 +87,7 @@ class TestGaussianFilter:
 
     def test_huge_width_keeps_only_dc(self):
         grid = sr.build_grid(2, 8)
-        gains = sr.gaussian_filter(grid, 1e153).gains  # the exponent overflows to -inf
+        gains = sr.gaussian_filter(grid, 1e153)  # the exponent overflows to -inf
         dc = np.all(grid.modes == 0, axis=1)
         assert gains[dc][0] == 1.0 and np.all(gains[~dc] == 0.0)
 
@@ -198,6 +200,17 @@ class TestRasterIO:
         loaded = sr.load_raster(path)
         assert loaded.dim == 2 and loaded.resolution == 8 and loaded.channels == 2
         assert np.allclose(loaded.values, raster.values, atol=1e-6)
+
+    @pytest.mark.parametrize("change", [{"dim": 2.7}, {"resolution": "4"}, {"channels": True}])
+    def test_sidecar_counts_must_be_integers(self, tmp_path, change):
+        """Sidecar counts follow the mesh-file rule: no truncation, no parsing."""
+        path = tmp_path / "r.f32"
+        sidecar = sr.save_raster(sr.Raster(2, 4, np.zeros((4, 4, 1))), path)
+        meta = dict(json.loads(sidecar.read_text()), **change)
+        sidecar.write_text(json.dumps(meta))
+        (key,) = change
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            sr.load_raster(path)
 
     def test_row_major_layout(self, tmp_path):
         values = np.arange(16, dtype=float).reshape(4, 4, 1)
