@@ -229,9 +229,10 @@ def _fit_problem(spec: dict) -> FitProblem:
     rig = None
     if spec.get("rig"):
         rig_spec = _json_object(spec["rig"], "rig", _RIG_KEYS)
-        rig = make_rig(mesh.vertices, rig_spec["centers"],
-                       controls=rig_spec.get("controls"),
-                       weights=rig_spec.get("weights"))
+        if spec.get("variable") == "rig":  # no other fit reads the rig
+            rig = make_rig(mesh.vertices, rig_spec["centers"],
+                           controls=rig_spec.get("controls"),
+                           weights=rig_spec.get("weights"))
     pose = None
     if spec.get("pose"):
         pose_spec = _json_object(spec["pose"], "pose", _POSE_KEYS)

@@ -69,7 +69,7 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
             dd[elems] += s @ wcot[modes]
         return a, b, dd
 
-    parts = _sweep(pts, wavevectors, auxnode, True, workers, reduce)
+    parts = _sweep(mesh, wavevectors, auxnode, True, workers, reduce)
     a, b, dd = parts[0]
     for part in parts[1:]:  # worker order
         a, b, dd = a + part[0], b + part[1], dd + part[2]

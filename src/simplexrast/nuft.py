@@ -161,15 +161,16 @@ def _dd_table(z: np.ndarray, slots: bool):
     return kernel, out
 
 
-def _kernel(sig: np.ndarray, slots: bool):
+def _kernel(sig: np.ndarray, slots: bool, table=None):
     """Kernel S of node-major phase slices sig (n, ...), stability-routed;
     with ``slots`` also the derivative coefficient per node slot (n, ...).
 
     One pass over the gaps g_tl = s_t - s_l (t < l) builds the Lagrange
     terms S_t = exp(-i s_t) / prod_{l != t} (s_t - s_l), each denominator
-    in ``l`` order.  The slot-p derivative is
-    -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each gap adds
-    u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
+    in ``l`` order.  ``table`` = (ev, inv), when given, holds those exps
+    once per vertex: ``ev[inv]`` equals ``exp(-1j * sig)``.  The slot-p
+    derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each
+    gap adds u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
     Unsafe rows, and with ``slots`` the risky rows the derivative's extra
     1/gap would spoil, take one table each (``_dd_table``): it patches the
     unsafe kernels and every risky slot.  Returns s, or (s, coefs).
@@ -185,7 +186,7 @@ def _kernel(sig: np.ndarray, slots: bool):
         np.negative(prod[1::2], out=prod[1::2])  # node t has t gaps g_lt = -(s_t - s_l)
         min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
         amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
-        terms = np.exp(-1j * sig) / prod
+        terms = (np.exp(-1j * sig) if table is None else table[0][table[1]]) / prod
         del prod
         s = terms.sum(axis=0)
         if slots:
@@ -258,28 +259,48 @@ def _tiles(n_elements: int, n_modes: int):
     return e_bounds, np.arange(tiles + 1) * n_modes // tiles
 
 
-def _sweep(pts, wavevectors, auxnode: bool, slots: bool, workers, reduce) -> list:
-    """Run ``_kernel(sig, slots)`` over every tile and return each worker's
-    ``reduce`` result, in worker order.
+def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
+           reduce) -> list:
+    """Run ``_kernel`` over every tile and return each worker's ``reduce``
+    result, in worker order.
+
+    Per element block the used vertices are found once, with a node-major
+    (nodes, elements) index into them; in auxnode mode the auxiliary
+    origin is row 0.  Per tile the phases ``k . x`` and their exps are
+    computed once per used vertex and mode, and the index gathers the
+    phases for ``_kernel`` and hands it the exps as a table, so the table
+    is bounded by the used set, never by the whole mesh.
 
     ``reduce`` gets a generator of (element span, mode span, kernel) over
     its worker's tiles.  Worker w gets mode tiles w, w + W, w + 2W, ... and
     runs each tile's element blocks in order.  The assignment is static,
     so a fixed worker count gives the same result on every run.
     """
-    e_bounds, m_bounds = _tiles(len(pts), len(wavevectors))
+    n_elements, n_nodes = mesh.elements.shape
+    e_bounds, m_bounds = _tiles(n_elements, len(wavevectors))
     n_tiles = len(m_bounds) - 1
     workers = _thread_count(workers, n_tiles)
+    blocks = []
+    for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
+        used, inv = np.unique(mesh.elements[e0:e1].T, return_inverse=True)
+        inv = inv.reshape(n_nodes, e1 - e0)
+        if auxnode:  # the auxiliary origin is row 0 of every table
+            inv = np.concatenate([np.zeros((1, e1 - e0), dtype=inv.dtype), inv + 1])
+        blocks.append((slice(e0, e1), mesh.vertices[used], inv))
 
     def tiles(w):
         for t in range(w, n_tiles, workers):
             modes = slice(m_bounds[t], m_bounds[t + 1])
-            for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
-                # node-major phases k . x_t (nodes, elements, modes)
-                sig = np.matmul(pts[e0:e1].transpose(1, 0, 2), wavevectors[modes].T)
-                if auxnode:  # the auxiliary origin's zero phase
-                    sig = np.concatenate([np.zeros((1,) + sig.shape[1:]), sig])
-                yield slice(e0, e1), modes, _kernel(sig, slots)
+            k = wavevectors[modes].T
+            for elems, verts, inv in blocks:
+                # phases k . x per used vertex, below the auxiliary origin's zero
+                # row; built and exponentiated in place, since every extra tile
+                # temporary can cost freshly faulted pages on each call
+                sv = np.empty((len(verts) + auxnode, k.shape[1]))
+                sv[:auxnode] = 0.0
+                np.matmul(verts, k, out=sv[auxnode:])
+                ev = np.multiply(sv, -1j)
+                yield elems, modes, _kernel(sv[inv], slots, (np.exp(ev, out=ev), inv))
 
     if workers == 1:
         return [reduce(tiles(0))]
@@ -297,7 +318,7 @@ def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> S
         for elems, modes, s in tiles:
             coeffs[modes] += s.T @ factor[elems]
 
-    _sweep(pts, grid.wavevectors, auxnode, False, workers, reduce)
+    _sweep(mesh, grid.wavevectors, auxnode, False, workers, reduce)
     return SpectralField(grid, coeffs)
 
 

@@ -412,6 +412,16 @@ class TestMalformedInput:
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
         assert "rest_vertices must be an (n, 2) array, got shape (4, 3)" in capsys.readouterr().err
 
+    def test_pose_fit_ignores_planar_rig(self, tmp_path, capsys):
+        """The spec's 2D rig is checked for unknown keys but not built for a
+        pose fit of a tetrahedron, which never reads it."""
+        tet = write_json(tmp_path / "tet.json", TET)
+        spec = dict(_square_fit_spec(tmp_path), variable="pose", mode="simplex",
+                    mesh=tet, target_mesh=tet)
+        path = write_json(tmp_path / "p.json", spec)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 0
+        assert "fit finished" in capsys.readouterr().out
+
     @pytest.mark.parametrize("change,key", [
         ({"max_iter": 2}, "max_iter"),
         ({"variable": "pose", "mode": "simplex",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -149,6 +151,23 @@ class TestSharedTable:
             s = _kernel(z.T, False)  # the forward routing
             assert np.array_equal(s[unsafe], ref[unsafe])
             assert np.array_equal(s[~unsafe], oracles.lagrange_terms(z).s[~unsafe])
+
+    def test_vertex_table_matches_direct_exps_bit_for_bit(self):
+        """Exps gathered from a table of per-vertex phases give the same bits
+        as the exps of the gathered phases, in the kernel and every slot."""
+        rng = np.random.default_rng(20261019)
+        for batch in range(24):
+            n = 1 + batch % 4
+            z = confluent_rows(rng, n) if batch % 2 else rng.uniform(-100, 100, (200, n))
+            # one vertex row per distinct phase: exact ties share a row
+            verts, inv = np.unique(z.T, return_inverse=True)
+            inv = inv.reshape(z.T.shape)
+            sig = verts[inv]
+            ev = -1j * verts  # exponentiated in place, as the sweep does
+            table = (np.exp(ev, out=ev), inv)
+            assert np.array_equal(_kernel(sig, False, table), _kernel(sig, False))
+            for got, ref in zip(_kernel(sig, True, table), _kernel(sig, True)):
+                assert np.array_equal(got, ref)
 
     def test_lattice_rows_match_high_precision(self):
         # phases of Kuhn-lattice tetrahedra at integer modes: exact pairs,
@@ -321,6 +340,67 @@ class TestForwardMesh:
         pts = mesh.element_points()
         sig = np.einsum("end,md->emn", pts, grid.wavevectors)
         assert sig.shape == (mesh.n_elements, grid.n_modes, mesh.degree + 1)
+
+
+class TestVertexTables:
+    """The sweep takes each tile's exps once per used vertex of an element
+    block; which vertex rows the elements share must not change a bit."""
+
+    @pytest.mark.parametrize("budget", [None, 64], ids=["whole blocks", "split blocks"])
+    def test_shared_vertices_match_own_copies(self, rng, monkeypatch, budget):
+        if budget:
+            monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", budget)
+        shared = sr.random_mesh(2, 2, 30, rng, channels=2, n_elements=90)
+        own = sr.SimplexMesh(2, 2, shared.element_points().reshape(-1, 2),
+                             np.arange(3 * shared.n_elements).reshape(-1, 3),
+                             shared.densities)
+        grid = sr.build_grid(2, 32)
+        assert len(sr.nuft._tiles(shared.n_elements, grid.n_modes)[1]) > 2
+        cot = oracles.random_spectral_cotangent(grid, rng, channels=2)
+        for workers in (1, 2):
+            assert np.array_equal(sr.forward_mesh(shared, grid, workers=workers).coeffs,
+                                  sr.forward_mesh(own, grid, workers=workers).coeffs)
+            g_shared = sr.backward_mesh(shared, grid, cot, workers=workers)
+            g_own = sr.backward_mesh(own, grid, cot, workers=workers)
+            assert np.array_equal(g_shared.d_densities, g_own.d_densities)
+            # the copies' gradients add up to the shared vertex's, up to summation order
+            summed = np.zeros_like(g_shared.d_vertices)
+            np.add.at(summed, shared.elements.reshape(-1), g_own.d_vertices)
+            scale = np.abs(g_shared.d_vertices).max()
+            assert np.abs(summed - g_shared.d_vertices).max() <= 1e-13 * scale
+
+    def test_unused_vertices_cost_no_memory(self, rng):
+        """One triangle among 20 000 unused vertices: a whole-mesh table
+        would take ~250 MiB at R=32, the used-vertex table 3 rows.  The
+        result equals that of the compacted 3-vertex mesh bit for bit."""
+        tri = np.array([[0.2, 0.3], [0.7, 0.25], [0.45, 0.8]])
+        used = [12345, 17, 5000]
+        vertices = rng.uniform(0.0, 1.0, (20_000, 2))
+        vertices[used] = tri
+        mesh = sr.SimplexMesh(2, 2, vertices, [used], [[1.3]])
+        compact = sr.SimplexMesh(2, 2, tri, [[0, 1, 2]], [[1.3]])
+        grid = sr.build_grid(2, 32)
+        assert grid.n_modes == 544
+        cot = oracles.random_spectral_cotangent(grid, rng)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: sr.forward_mesh(mesh, grid, workers=1),
+                         lambda: sr.backward_mesh(mesh, grid, cot, workers=1)):
+                tracemalloc.reset_peak()
+                out = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del out
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 8 * 2 ** 20, peaks
+        assert np.array_equal(sr.forward_mesh(mesh, grid, workers=1).coeffs,
+                              sr.forward_mesh(compact, grid, workers=1).coeffs)
+        g = sr.backward_mesh(mesh, grid, cot, workers=1)
+        g_compact = sr.backward_mesh(compact, grid, cot, workers=1)
+        assert np.array_equal(g.d_vertices[used], g_compact.d_vertices)
+        assert np.array_equal(g.d_densities, g_compact.d_densities)
+        assert not np.delete(g.d_vertices, used, axis=0).any()
 
 
 SQUARE = np.array([[0.2, 0.2], [0.8, 0.2], [0.8, 0.8], [0.2, 0.8]])
