@@ -93,6 +93,10 @@ class FitProblem:
                 raise ValueError("mres_smooth loss needs resolutions")
             if self.variable != "vertices":
                 raise ValueError("mres_smooth fits polygon vertices directly")
+            if isinstance(self.target, Raster):
+                raise ValueError("mres_smooth target must be a polygon or its boundary mesh, "
+                                 "not a Raster: a raster has one resolution and cannot "
+                                 "serve mres_resolutions")
             self.mesh = _ccw_loop(self.mesh.vertices, self.mesh.elements)
         for r in self.mres_resolutions:
             _check_int(r, "mres_resolutions", 2)
@@ -138,22 +142,21 @@ class FitResult:
         return np.array([p.loss for p in self.trajectory])
 
 
-def _raster_term(mesh: SimplexMesh, config: RasterizeConfig, target: Raster,
-                 squared: bool, need_grad: bool):
-    """Raster L2 (``squared``) or L1 distance of ``mesh`` to ``target`` at
-    ``config``, and its vertex gradient when ``need_grad`` (else None).
+def _raster_diff(mesh: SimplexMesh, config: RasterizeConfig, target: Raster) -> np.ndarray:
+    """Raster of ``mesh`` at ``config`` minus ``target``: one forward pass."""
+    return rasterize(mesh, config).values - target.values
 
-    The L1 gradient is the sign subgradient (sign(0) = 0, so it is exactly
-    zero at a perfect match).
+
+def _raster_loss(diff: np.ndarray, squared: bool):
+    """Raster L2 (``squared``) or L1 distance of a raster difference, and
+    its cotangent.
+
+    The L1 cotangent is the sign subgradient (sign(0) = 0, so the gradient
+    is exactly zero at a perfect match).
     """
-    diff = rasterize(mesh, config).values - target.values
     if squared:
-        value, cot = float((diff ** 2).sum()), 2.0 * diff
-    else:
-        value, cot = float(np.abs(diff).sum()), np.sign(diff)
-    if not need_grad:
-        return value, None
-    return value, rasterize_backward(mesh, config, cot).d_vertices
+        return float((diff ** 2).sum()), 2.0 * diff
+    return float(np.abs(diff).sum()), np.sign(diff)
 
 
 def loss_mres(candidates, target_polygon, config: RasterizeConfig):
@@ -167,10 +170,10 @@ def loss_mres(candidates, target_polygon, config: RasterizeConfig):
     total, grads = 0.0, []
     for polygon, resolution in candidates:
         cfg = replace(config, resolution=resolution, mode="auxnode")
-        value, grad = _raster_term(_ccw_loop(polygon), cfg, rasterize(target, cfg),
-                                   squared=False, need_grad=True)
+        loop = _ccw_loop(polygon)
+        value, cot = _raster_loss(_raster_diff(loop, cfg, rasterize(target, cfg)), squared=False)
         total += value
-        grads.append(grad)
+        grads.append(rasterize_backward(loop, cfg, cot).d_vertices)
     return total, grads
 
 
@@ -179,6 +182,11 @@ def make_objective(problem: FitProblem):
 
     Sums the raster L2 (``l2``) or L1 distance to each target, rasterized
     here once, plus for ``mres_smooth`` the weighted loop smoothness.
+
+    A ``need_grad=False`` call on a finite state keeps its raster
+    differences for the next call only.  If that call asks for the gradient
+    at a state of the same shape, dtype and bytes, as ``fit`` does for an
+    accepted line-search candidate, it runs only the backward passes.
     """
     if problem.loss == "mres_smooth":
         target = problem.target
@@ -196,24 +204,38 @@ def make_objective(problem: FitProblem):
     else:
         raise TypeError("target must be a Raster or a SimplexMesh")
     smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
+    probe = None  # (state key, raster differences) of the last finite need_grad=False call
 
     def objective(state, need_grad=True):
+        nonlocal probe
+        state = np.asarray(state)
+        held, probe = probe, None
         mesh = problem.geometry(state) if np.all(np.isfinite(state)) else None
         if mesh is None or not np.all(np.isfinite(mesh.vertices)):
             # the pose and the rasterizer reject non-finite input; a diverged
             # state gets the non-finite loss that ``fit`` stops on
             return np.nan, (np.full(state.shape, np.nan) if need_grad else None)
-        value, grads = 0.0, []
-        for config, target in terms:
-            term, grad = _raster_term(mesh, config, target, problem.loss == "l2", need_grad)
+        key = (state.shape, state.dtype.str, state.tobytes())
+        if need_grad and held is not None and held[0] == key:
+            diffs = held[1]
+        else:
+            diffs = [_raster_diff(mesh, config, target) for config, target in terms]
+        if not need_grad:
+            probe = key, diffs
+        value, cots = 0.0, []
+        for diff in diffs:
+            term, cot = _raster_loss(diff, problem.loss == "l2")
             value += term
-            grads.append(grad)
+            cots.append(cot)
         if smooth:
             s_val, s_grad = loss_smooth(mesh.vertices)
             value += problem.smooth_weight * s_val
-            grads.append(problem.smooth_weight * s_grad)
         if not need_grad:
             return value, None
+        grads = [rasterize_backward(mesh, config, cot).d_vertices
+                 for (config, _), cot in zip(terms, cots)]
+        if smooth:
+            grads.append(problem.smooth_weight * s_grad)
         dv = np.sum(grads, axis=0)
         if problem.variable == "vertices":
             return value, dv.reshape(-1)
@@ -232,7 +254,10 @@ def fit(problem: FitProblem) -> FitResult:
 
     Each iteration restarts from the scheduled step and halves it while
     the move would increase the loss (when backtracking is enabled), so
-    recorded losses never increase.  Stops at the iteration cap, when no
+    recorded losses never increase.  Candidates are probed with
+    ``need_grad=False``; the gradient call at the accepted candidate that
+    follows reuses the probe's rasters (see ``make_objective``), so each
+    candidate is rasterized once.  Stops at the iteration cap, when no
     halving yields a decrease, when the loss hits zero, or when the loss
     improved by less than ``tol`` over the last 10 iterations.
     """

@@ -331,6 +331,21 @@ class TestFitCommand:
         assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 2
         assert "edges" in capsys.readouterr().err
 
+    def test_mres_raster_target_exit_1(self, tmp_path, capsys):
+        """A raster has one resolution, so it cannot drive an mres_smooth fit."""
+        self.make_problem(tmp_path, (0.05, 0.0))
+        target = str(tmp_path / "target.f32")
+        assert main(["rasterize", "--mesh", str(tmp_path / "target.json"), "--res", "16",
+                     "--mode", "auxnode", "--out", target]) == 0
+        problem = json.loads((tmp_path / "problem.json").read_text())
+        del problem["target_mesh"]
+        problem.update(target_raster=target, loss="mres_smooth", mres_resolutions=[16],
+                       max_iters=2)
+        path = write_json(tmp_path / "mres_raster.json", problem)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: mres_smooth target must be a polygon" in err and "Traceback" not in err
+
 
 def _square_fit_spec(tmp):
     """A two-iteration square fit at R=8 whose every file lives in ``tmp``."""

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -128,14 +129,7 @@ class TestFit:
             sr.fit(problem)
 
     def test_rig_variable_descends(self):
-        target = sr.polygon_boundary_mesh(SQUARE + [0.06, 0.0])
-        rig = sr.make_rig(SQUARE, centers=[[0.35, 0.5], [0.65, 0.5]])
-        problem = sr.FitProblem(
-            mesh=sr.polygon_boundary_mesh(SQUARE), target=target,
-            config=sr.RasterizeConfig(resolution=16, mode="auxnode"),
-            schedule=sr.Schedule(step=1e-4, max_iters=40),
-            variable="rig", rig=rig, loss="l2")
-        result = sr.fit(problem)
+        result = sr.fit(rig_problem(max_iters=40))
         assert result.trajectory[-1].loss < 0.5 * result.trajectory[0].loss
 
     def test_mres_smooth_composite(self):
@@ -160,6 +154,16 @@ class TestFit:
             sr.FitProblem(mesh=sr.polygon_boundary_mesh(SQUARE),
                           target=None, config=sr.RasterizeConfig(resolution=8),
                           schedule=sr.Schedule(step=1e-3), variable="pose")
+
+    def test_mres_smooth_raster_target_rejected(self):
+        """A raster has one resolution, so it cannot be the target of a
+        multi-resolution loss."""
+        config = sr.RasterizeConfig(resolution=16, mode="auxnode")
+        raster = sr.rasterize(sr.polygon_boundary_mesh(SQUARE), config)
+        with pytest.raises(ValueError, match="mres_smooth target must be a polygon"):
+            sr.FitProblem(mesh=sr.polygon_boundary_mesh(SQUARE), target=raster, config=config,
+                          schedule=sr.Schedule(step=1e-3), loss="mres_smooth",
+                          mres_resolutions=(16,))
 
     def test_variable_needs_its_mesh_dimension(self):
         tet = sr.SimplexMesh(3, 3, np.eye(4)[:, 1:] * 0.5 + 0.2, np.array([[0, 1, 2, 3]]),
@@ -229,39 +233,161 @@ class TestLoopCheck:
         assert value == 0.0 and np.all(grad == 0.0)
 
 
-def mres_problem(start, max_iters=30):
+def mres_problem(start, max_iters=30, step=2e-4):
     return sr.FitProblem(
         mesh=sr.polygon_boundary_mesh(start),
         target=sr.polygon_boundary_mesh(SQUARE + [0.05, 0.0]),
         config=sr.RasterizeConfig(resolution=16, mode="auxnode"),
-        schedule=sr.Schedule(step=2e-4, max_iters=max_iters),
+        schedule=sr.Schedule(step=step, max_iters=max_iters),
         loss="mres_smooth", mres_resolutions=(16, 8), smooth_weight=0.01)
 
 
+def box_pose_problem(max_iters=4):
+    """An l1 pose fit of a box cut into 6 tetrahedra, at R=8."""
+    corners = 0.35 + 0.25 * np.array(list(itertools.product((0, 1), repeat=3)))
+    tets = [np.cumsum([0] + [4 >> axis for axis in order])
+            for order in itertools.permutations(range(3))]
+    box = sr.SimplexMesh(3, 3, corners, tets, np.ones(6))
+    turn = np.deg2rad(10.0)
+    target = box.with_vertices(sr.quat_apply(
+        sr.PoseQuat([np.cos(turn / 2), 0.0, 0.0, np.sin(turn / 2)], [0.02, 0, 0]),
+        box.vertices))
+    return sr.FitProblem(mesh=box, target=target, config=sr.RasterizeConfig(resolution=8),
+                         schedule=sr.Schedule(step=2e-3, max_iters=max_iters),
+                         variable="pose", loss="l1", pose=sr.PoseQuat([1, 0, 0, 0], [0, 0, 0]))
+
+
+def rig_problem(max_iters=10):
+    return sr.FitProblem(
+        mesh=sr.polygon_boundary_mesh(SQUARE),
+        target=sr.polygon_boundary_mesh(SQUARE + [0.06, 0.0]),
+        config=sr.RasterizeConfig(resolution=16, mode="auxnode"),
+        schedule=sr.Schedule(step=1e-4, max_iters=max_iters),
+        variable="rig", rig=sr.make_rig(SQUARE, centers=[[0.35, 0.5], [0.65, 0.5]]))
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Counts of the auxnode forward and backward passes."""
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sr.pipeline, "forward_auxnode",
+                        counted("forward", sr.pipeline.forward_auxnode))
+    monkeypatch.setattr(sr.pipeline, "backward_auxnode",
+                        counted("backward", sr.pipeline.backward_auxnode))
+    return calls
+
+
+def without_memo(make_objective):
+    """``make_objective`` whose probes and gradient calls go to two separate
+    objectives, so no gradient call can reuse a probe's rasters."""
+    def make(problem):
+        probe, gradient = make_objective(problem), make_objective(problem)
+
+        def objective(state, need_grad=True):
+            return (gradient if need_grad else probe)(state, need_grad)
+        return objective
+    return make
+
+
 class TestObjective:
-    def test_calls_per_resolution(self, monkeypatch):
-        calls = {"forward": 0, "backward": 0}
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(sr.pipeline, "forward_auxnode",
-                            counted("forward", sr.pipeline.forward_auxnode))
-        monkeypatch.setattr(sr.pipeline, "backward_auxnode",
-                            counted("backward", sr.pipeline.backward_auxnode))
+    def test_calls_per_resolution(self, pass_counts):
+        """A probe runs the forwards; a gradient call at the probed state runs
+        only the backwards, once; any other gradient call runs both."""
         problem = mres_problem(SQUARE)
         n_res = len(problem.mres_resolutions)
         objective = sr.make_objective(problem)
-        assert calls == {"forward": n_res, "backward": 0}  # each target once
+        assert pass_counts == {"forward": n_res, "backward": 0}  # each target once
         state = problem.initial_state()
-        for need_grad, backward in ((False, 0), (True, 1)):
-            calls.update(forward=0, backward=0)
-            _, grad = objective(state, need_grad=need_grad)
+        for call_state, need_grad, forward, backward in (
+                (state, False, 1, 0),  # probe
+                (state, True, 0, 1),  # gradient at the probed state
+                (state, True, 1, 1),  # again: the probe's rasters are used up
+                (state + 0.01, True, 1, 1)):  # a new state
+            pass_counts.update(forward=0, backward=0)
+            _, grad = objective(call_state, need_grad=need_grad)
             assert (grad is not None) == need_grad
-            assert calls == {"forward": n_res, "backward": backward * n_res}
+            assert pass_counts == {"forward": forward * n_res, "backward": backward * n_res}
+
+    def test_fit_rasterizes_each_candidate_once(self, pass_counts, monkeypatch):
+        """One forward per target, start and line-search candidate, and one
+        backward per accepted state: accepting a candidate costs no forward."""
+        probes = []
+        make_objective = sr.optimizer.make_objective
+
+        def counted(problem):
+            objective = make_objective(problem)
+
+            def call(state, need_grad=True):
+                probes.append(not need_grad)
+                return objective(state, need_grad)
+            return call
+
+        monkeypatch.setattr(sr.optimizer, "make_objective", counted)
+        problem = mres_problem(SQUARE, max_iters=8, step=2e-3)  # oversized: some halve
+        n_res = len(problem.mres_resolutions)
+        result = sr.fit(problem)
+        accepted, candidates = len(result.trajectory) - 1, sum(probes)
+        assert accepted == 8 and candidates > accepted
+        assert pass_counts == {"forward": n_res * (1 + 1 + candidates),
+                               "backward": n_res * (1 + accepted)}
+
+    @pytest.mark.parametrize("make", [
+        lambda: square_problem(step=0.05, max_iters=10),
+        rig_problem,
+        box_pose_problem,
+        lambda: mres_problem(SQUARE, max_iters=8, step=2e-3),
+    ], ids=["l2-vertices", "rig", "l1-pose", "mres_smooth"])
+    def test_fit_bit_identical_without_memo(self, make, monkeypatch):
+        with_memo = sr.fit(make())
+        monkeypatch.setattr(sr.optimizer, "make_objective",
+                            without_memo(sr.optimizer.make_objective))
+        plain = sr.fit(make())
+        assert len(with_memo.trajectory) > 2
+        assert with_memo.losses.tolist() == plain.losses.tolist()
+        assert np.array_equal([p.grad_norm for p in with_memo.trajectory],
+                              [p.grad_norm for p in plain.trajectory])
+        for a, b in zip(with_memo.trajectory, plain.trajectory):
+            assert np.array_equal(a.state, b.state)
+
+    @staticmethod
+    def assert_same(result, expected):
+        assert result[0] == expected[0]
+        assert np.array_equal(result[1], expected[1])
+
+    def test_state_edited_in_place_after_probe(self, pass_counts):
+        problem = mres_problem(SQUARE)
+        objective, state = sr.make_objective(problem), problem.initial_state()
+        objective(state, need_grad=False)
+        state[0] += 0.01
+        pass_counts.update(forward=0)
+        result = objective(state)
+        assert pass_counts["forward"] == len(problem.mres_resolutions)
+        self.assert_same(result, sr.make_objective(problem)(state.copy()))
+
+    def test_gradient_at_another_state_after_probe(self):
+        problem = rig_problem()
+        objective, state = sr.make_objective(problem), problem.initial_state()
+        objective(state, need_grad=False)
+        moved = state + 0.01
+        self.assert_same(objective(moved), sr.make_objective(problem)(moved))
+
+    def test_nan_probe_after_finite_probe(self, pass_counts):
+        problem = mres_problem(SQUARE)
+        objective, state = sr.make_objective(problem), problem.initial_state()
+        objective(state, need_grad=False)
+        value, grad = objective(np.full_like(state, np.nan), need_grad=False)
+        assert np.isnan(value) and grad is None
+        pass_counts.update(forward=0)
+        result = objective(state)  # the finite probe's rasters are gone
+        assert pass_counts["forward"] == len(problem.mres_resolutions)
+        self.assert_same(result, sr.make_objective(problem)(state))
 
     def test_clockwise_start_matches_ccw_twin(self):
         cw = sr.fit(mres_problem(SQUARE[::-1] + [0.01, 0.02], max_iters=15))
