@@ -70,6 +70,8 @@ def cmd_rasterize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not args.tol >= 0:  # a NaN tolerance would fail every check
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     mesh = random_mesh(args.j, args.d, args.points, rng)
     cotangent = random_raster_cotangent(args.d, args.res, rng)

@@ -33,13 +33,6 @@ class MeshGradient:
     d_vertices: np.ndarray
     d_densities: np.ndarray
 
-    def __add__(self, other: "MeshGradient") -> "MeshGradient":
-        return MeshGradient(self.d_vertices + other.d_vertices,
-                            self.d_densities + other.d_densities)
-
-    def scaled(self, a: float) -> "MeshGradient":
-        return MeshGradient(a * self.d_vertices, a * self.d_densities)
-
 
 def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
               auxnode: bool, workers) -> MeshGradient:
@@ -121,8 +114,8 @@ def _central_differences(mesh: SimplexMesh, forward, grid: SpectralGrid,
     touches (the others cancel exactly in the difference); otherwise every
     probe transforms the whole mesh.  Unused vertices get a zero gradient.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h!r}")
 
     def loss(vertices, densities, rows):
         rows = rows if local else slice(None)

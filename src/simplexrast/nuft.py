@@ -161,14 +161,14 @@ def _dd_table(z: np.ndarray, slots: bool):
     return kernel, out
 
 
-def _kernel(sig: np.ndarray, slots: bool, table=None):
+def _kernel(sig: np.ndarray, slots: bool, table):
     """Kernel S of node-major phase slices sig (n, ...), stability-routed;
     with ``slots`` also the derivative coefficient per node slot (n, ...).
 
     One pass over the gaps g_tl = s_t - s_l (t < l) builds the Lagrange
     terms S_t = exp(-i s_t) / prod_{l != t} (s_t - s_l), each denominator
-    in ``l`` order.  ``table`` = (ev, inv), when given, holds those exps
-    once per vertex: ``ev[inv]`` equals ``exp(-1j * sig)``.  The slot-p
+    in ``l`` order.  ``table`` = (ev, inv) holds those exps once per
+    vertex: ``ev[inv]`` equals ``exp(-1j * sig)``.  The slot-p
     derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each
     gap adds u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
     Unsafe rows, and with ``slots`` the risky rows the derivative's extra
@@ -186,7 +186,7 @@ def _kernel(sig: np.ndarray, slots: bool, table=None):
         np.negative(prod[1::2], out=prod[1::2])  # node t has t gaps g_lt = -(s_t - s_l)
         min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
         amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
-        terms = (np.exp(-1j * sig) if table is None else table[0][table[1]]) / prod
+        terms = table[0][table[1]] / prod
         del prod
         s = terms.sum(axis=0)
         if slots:

@@ -86,20 +86,28 @@ def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:
     return inverse_transform(field)
 
 
-def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
-                       raster_cotangent) -> MeshGradient:
-    """Gradient of ``L = sum_pixels cotangent * raster`` in mesh parameters."""
+def _spectral_cotangent(mesh: SimplexMesh, config: RasterizeConfig, raster_cotangent):
+    """The set-up of both raster-space gradients: the strict check, then the
+    grid and the filtered adjoint of the cotangent (a ``Raster`` or an
+    array of raster shape, with or without the channel axis)."""
     _check_strict(mesh, config)
     grid = build_grid(mesh.dim, config.resolution)
     cot = adjoint_transform(raster_cotangent, grid)
-    cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))
+    return grid, apply_filter(cot, gaussian_filter(grid, config.filter_width))
+
+
+def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
+                       raster_cotangent) -> MeshGradient:
+    """Gradient of ``L = sum_pixels cotangent * raster`` in mesh parameters."""
+    grid, cot = _spectral_cotangent(mesh, config, raster_cotangent)
     backward = backward_mesh if config.mode == "simplex" else backward_auxnode
     return backward(mesh, grid, cot)
 
 
 def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
                                raster_cotangent, h: float = 1e-6) -> MeshGradient:
-    """Central-difference reference for :func:`rasterize_backward`.
+    """Central-difference reference for :func:`rasterize_backward`, taking
+    the same cotangent forms.
 
     Works in the spectral form of the same loss (filtered adjoint of the
     cotangent paired against the forward transform; the pairing equals the
@@ -107,10 +115,7 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     elements that contain the perturbed vertex: the others cancel exactly
     in the central difference.
     """
-    _check_strict(mesh, config)
-    grid = build_grid(mesh.dim, config.resolution)
-    cot = adjoint_transform(np.asarray(raster_cotangent, float), grid)
-    cot = apply_filter(cot, gaussian_filter(grid, config.filter_width))
+    grid, cot = _spectral_cotangent(mesh, config, raster_cotangent)
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
     return _central_differences(mesh, forward, grid, cot, h, local=True)
 

@@ -95,16 +95,6 @@ class SpectralField:
     def channels(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def dc(self) -> np.ndarray:
-        """DC coefficient per channel (the mode vector is all-zero)."""
-        idx = np.nonzero(~self.modes_nonzero)[0]
-        return self.coeffs[idx[0]]
-
-    @functools.cached_property
-    def modes_nonzero(self) -> np.ndarray:
-        return np.any(self.grid.modes != 0, axis=1)
-
 
 @dataclass
 class Raster:
@@ -176,15 +166,13 @@ def adjoint_transform(raster_values, grid: SpectralGrid) -> SpectralField:
     For every field F and raster g:
     ``sum_x inverse_transform(F) * g == sum_m w(m) Re[conj(A(m)) F(m)]``
     with A = adjoint_transform(g).  Concretely A(m) = sum_x g(x)
-    exp(-2 pi i m . x / R), i.e. an unnormalized forward FFT.
+    exp(-2 pi i m . x / R), i.e. an unnormalized forward FFT.  ``g`` is a
+    ``Raster`` or an array that ``Raster`` accepts at the grid's shape.
     """
-    if isinstance(raster_values, Raster):
-        values = raster_values.values
-    else:
-        values = np.asarray(raster_values, dtype=np.float64)
+    if not isinstance(raster_values, Raster):
+        raster_values = Raster(grid.dim, grid.resolution, raster_values)
+    values = raster_values.values
     expected = (grid.resolution,) * grid.dim
-    if values.shape == expected:
-        values = values[..., None]
     if values.shape[:-1] != expected:
         raise ValueError(f"raster shape {values.shape} does not match grid {expected}")
     if not np.all(np.isfinite(values)):

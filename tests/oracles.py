@@ -53,7 +53,13 @@ def eval_S(sigmas) -> complex:
     sig = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
     if not np.all(np.isfinite(sig)):
         raise ValueError("phases must be finite")
-    return complex(_kernel(sig, False)[0])
+    return complex(direct_kernel(sig, False)[0])
+
+
+def direct_kernel(sig: np.ndarray, slots: bool):
+    """``nuft._kernel`` of node-major phases sig (n, ...), its exps taken
+    directly rather than gathered from a per-vertex table."""
+    return _kernel(sig, slots, (np.exp(-1j * sig), slice(None)))
 
 
 def lagrange_terms(sig: np.ndarray):
@@ -91,7 +97,7 @@ def lagrange_terms(sig: np.ndarray):
 def kernel_batch(sig):
     """Kernel values and derivative coefficients of phase rows (..., n);
     the coefficients keep that layout."""
-    s, coefs = _kernel(np.moveaxis(sig, -1, 0), True)
+    s, coefs = direct_kernel(np.moveaxis(sig, -1, 0), True)
     return s, np.moveaxis(coefs, 0, -1)
 
 

@@ -200,6 +200,17 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--j", "1", "--d", "2", "--points", "6",
                      "--res", "4", "--tol", "0"]) == 3
 
+    @pytest.mark.parametrize("arg,named", [
+        ("--tol=nan", "--tol"), ("--tol=-1e-5", "--tol"),
+        ("--h=nan", "step h"), ("--h=inf", "step h"), ("--h=0", "step h")])
+    def test_bad_tolerance_or_step_exit_1(self, arg, named, capsys):
+        """A NaN or negative tolerance, or a step that is not positive and
+        finite, is an input error (exit 1) that names it: not a tolerance
+        failure (exit 3), nor a validation error about the mesh (exit 2)."""
+        assert main(["gradcheck", "--j", "1", "--d", "2", "--points", "6",
+                     "--res", "4", arg]) == 1
+        assert named in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, capsys):
         main(["gradcheck", "--j", "1", "--d", "2", "--points", "6", "--res", "4",
               "--seed", "5"])

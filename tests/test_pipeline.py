@@ -186,13 +186,21 @@ class TestRasterizeBackward:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cotangent_rejected(self, rng, bad):
+        """Both gradients take the cotangent as an array or a ``Raster``:
+        a non-finite one is rejected in either form, and a finite one gives
+        the same gradient in either form."""
         mesh = sr.random_mesh(2, 2, 6, rng)
         cfg = sr.RasterizeConfig(resolution=8)
         cot = np.zeros((8, 8, 1))
         cot[3, 4] = bad
+        good = sr.random_raster_cotangent(2, 8, rng)
         for call in (sr.rasterize_backward, sr.finite_difference_gradient):
-            with pytest.raises(ValueError, match="finite"):
-                call(mesh, cfg, cot)
+            for form in (cot, sr.Raster(2, 8, cot)):
+                with pytest.raises(ValueError, match="finite"):
+                    call(mesh, cfg, form)
+            a, b = call(mesh, cfg, good), call(mesh, cfg, sr.Raster(2, 8, good))
+            assert np.array_equal(a.d_vertices, b.d_vertices)
+            assert np.array_equal(a.d_densities, b.d_densities)
 
     def test_zero_cotangent(self, rng):
         mesh = sr.random_mesh(2, 2, 6, rng)
