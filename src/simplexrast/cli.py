@@ -46,15 +46,25 @@ BENCH_CSV_HEADER = ["j", "d", "n_points", "resolution", "repetitions",
 TRAJECTORY_CSV_HEADER = ["iteration", "loss", "grad_norm"]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list '4,8,16' or inclusive range 'a:b:s'."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1)
-        a, b, s = parts
-        return list(range(a, b + 1, s))
-    return [int(p) for p in text.split(",") if p]
+def _parse_int_list(text: str, option: str) -> list[int]:
+    """Comma list '4,8,16' or inclusive range 'a:b' or 'a:b:s' of integers.
+    An empty result, or text of any other form, is a ValueError naming
+    ``option``."""
+    try:
+        if ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            if len(parts) == 2:
+                parts.append(1)
+            a, b, s = parts
+            values = list(range(a, b + 1, s)) if s > 0 else []
+        else:
+            values = [int(p) for p in text.split(",") if p]
+    except ValueError:  # not an integer, or not two or three range parts
+        values = []
+    if not values:
+        raise ValueError(f"{option} must be a non-empty comma list of integers or a range "
+                         f"a:b[:s] with a <= b and s > 0, got {text!r}")
+    return values
 
 
 def cmd_rasterize(args) -> int:
@@ -151,8 +161,8 @@ def run_bench(j_list, points_list, res_list, reps, d=3, seed=0, h=1e-6,
 
 def cmd_bench(args) -> int:
     workers = 1 if args.single_thread else None  # None: DDSL_WORKERS
-    records = run_bench(_parse_int_list(args.j), _parse_int_list(args.points),
-                        _parse_int_list(args.res), args.reps, d=args.d,
+    records = run_bench(_parse_int_list(args.j, "--j"), _parse_int_list(args.points, "--points"),
+                        _parse_int_list(args.res, "--res"), args.reps, d=args.d,
                         seed=args.seed, workers=workers)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

@@ -14,8 +14,9 @@ import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
 from .meshcore import SimplexMesh
-from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real, loss_smooth,
-                       rasterize, rasterize_backward)
+from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real,
+                       _rasterize_mres, _rasterize_mres_backward, loss_smooth, rasterize,
+                       rasterize_backward)
 from .spectral import Raster
 
 VARIABLES = ("vertices", "rig", "pose")
@@ -142,11 +143,6 @@ class FitResult:
         return np.array([p.loss for p in self.trajectory])
 
 
-def _raster_diff(mesh: SimplexMesh, config: RasterizeConfig, target: Raster) -> np.ndarray:
-    """Raster of ``mesh`` at ``config`` minus ``target``: one forward pass."""
-    return rasterize(mesh, config).values - target.values
-
-
 def _raster_loss(diff: np.ndarray, squared: bool):
     """Raster L2 (``squared``) or L1 distance of a raster difference, and
     its cotangent.
@@ -164,16 +160,24 @@ def loss_mres(candidates, target_polygon, config: RasterizeConfig):
 
     ``candidates`` is a list of (polygon, resolution) pairs; the loss sums
     the raster L1 terms at each listed resolution and returns one vertex
-    gradient per candidate, in the candidate's own vertex order.
+    gradient per candidate, in the candidate's own vertex order.  The
+    target is rasterized once per call, at every listed resolution from one
+    forward sweep at the largest; each candidate then costs one forward
+    and one backward sweep at its own resolution.
     """
+    candidates = list(candidates)
+    config = replace(config, mode="auxnode")
     target = _ccw_loop(target_polygon)
+    if not candidates:
+        return 0.0, []
+    targets = _rasterize_mres(target, config, [r for _, r in candidates])
     total, grads = 0.0, []
-    for polygon, resolution in candidates:
-        cfg = replace(config, resolution=resolution, mode="auxnode")
+    for (polygon, resolution), target_raster in zip(candidates, targets):
         loop = _ccw_loop(polygon)
-        value, cot = _raster_loss(_raster_diff(loop, cfg, rasterize(target, cfg)), squared=False)
+        (raster,) = _rasterize_mres(loop, config, [resolution])
+        value, cot = _raster_loss(raster.values - target_raster.values, squared=False)
         total += value
-        grads.append(rasterize_backward(loop, cfg, cot).d_vertices)
+        grads.append(_rasterize_mres_backward(loop, config, [resolution], [cot]).d_vertices)
     return total, grads
 
 
@@ -181,29 +185,34 @@ def make_objective(problem: FitProblem):
     """Callable (state, need_grad=True) -> (loss, gradient-or-None).
 
     Sums the raster L2 (``l2``) or L1 distance to each target, rasterized
-    here once, plus for ``mres_smooth`` the weighted loop smoothness.
+    here once, plus for ``mres_smooth`` the weighted loop smoothness.  An
+    ``mres_smooth`` call rasterizes every resolution from one forward sweep
+    at the largest and takes the gradient of all of them from one backward
+    sweep there (``pipeline._rasterize_mres``), whatever the number of
+    resolutions.
 
     A ``need_grad=False`` call on a finite state keeps its raster
     differences for the next call only.  If that call asks for the gradient
     at a state of the same shape, dtype and bytes, as ``fit`` does for an
-    accepted line-search candidate, it runs only the backward passes.
+    accepted line-search candidate, it runs only the backward pass.
     """
-    if problem.loss == "mres_smooth":
+    config, resolutions = problem.config, problem.mres_resolutions
+    mres = problem.loss == "mres_smooth"
+    if mres:
         target = problem.target
         loop = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
                 else _ccw_loop(target))
-        configs = [replace(problem.config, resolution=r, mode="auxnode")
-                   for r in problem.mres_resolutions]
-        terms = [(cfg, rasterize(loop, cfg)) for cfg in configs]
+        config = replace(config, mode="auxnode")
+        targets = _rasterize_mres(loop, config, resolutions)
     elif isinstance(problem.target, Raster):
-        if problem.target.resolution != problem.config.resolution:
+        if problem.target.resolution != config.resolution:
             raise ValueError("target raster resolution does not match config")
-        terms = [(problem.config, problem.target)]
+        targets = [problem.target]
     elif isinstance(problem.target, SimplexMesh):
-        terms = [(problem.config, rasterize(problem.target, problem.config))]
+        targets = [rasterize(problem.target, config)]
     else:
         raise TypeError("target must be a Raster or a SimplexMesh")
-    smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
+    smooth = mres and problem.smooth_weight > 0
     probe = None  # (state key, raster differences) of the last finite need_grad=False call
 
     def objective(state, need_grad=True):
@@ -219,7 +228,9 @@ def make_objective(problem: FitProblem):
         if need_grad and held is not None and held[0] == key:
             diffs = held[1]
         else:
-            diffs = [_raster_diff(mesh, config, target) for config, target in terms]
+            rasters = (_rasterize_mres(mesh, config, resolutions) if mres
+                       else [rasterize(mesh, config)])
+            diffs = [r.values - t.values for r, t in zip(rasters, targets)]
         if not need_grad:
             probe = key, diffs
         value, cots = 0.0, []
@@ -232,11 +243,10 @@ def make_objective(problem: FitProblem):
             value += problem.smooth_weight * s_val
         if not need_grad:
             return value, None
-        grads = [rasterize_backward(mesh, config, cot).d_vertices
-                 for (config, _), cot in zip(terms, cots)]
+        dv = (_rasterize_mres_backward(mesh, config, resolutions, cots) if mres
+              else rasterize_backward(mesh, config, cots[0])).d_vertices
         if smooth:
-            grads.append(problem.smooth_weight * s_grad)
-        dv = np.sum(grads, axis=0)
+            dv = dv + problem.smooth_weight * s_grad
         if problem.variable == "vertices":
             return value, dv.reshape(-1)
         if problem.variable == "rig":

@@ -20,6 +20,8 @@ from .meshcore import MeshValidationError, SimplexMesh, boundary_closure_defect,
 from .nuft import forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
+    SpectralField,
+    SpectralGrid,
     _filter_width,
     adjoint_transform,
     apply_filter,
@@ -118,6 +120,63 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     grid, cot = _spectral_cotangent(mesh, config, raster_cotangent)
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
     return _central_differences(mesh, forward, grid, cot, h, local=True)
+
+
+# ---------------------------------------------------------------------------
+# several resolutions from one fine spectrum
+
+def _fine_rows(grid: SpectralGrid, fine: SpectralGrid) -> np.ndarray:
+    """Row of each of ``grid``'s modes in ``fine``, a grid at least as fine:
+    a full-axis frequency m sits at index m mod R_f, a last-axis one at
+    itself."""
+    return np.ravel_multi_index(tuple((grid.modes % fine.resolution).T), fine.half_shape)
+
+
+def _rasterize_mres(mesh: SimplexMesh, config: RasterizeConfig, resolutions) -> list:
+    """Filtered auxnode rasters of ``mesh`` at each of ``resolutions`` (in
+    that order, repeats allowed), from one forward sweep at the largest.
+
+    The coefficients are exact per integer mode and every coarser grid's
+    modes are modes of the fine grid, so each raster equals ``rasterize``
+    at its resolution bit for bit.
+    """
+    for r in resolutions:
+        _check_int(r, "resolution", 2)
+    _check_strict(mesh, config)
+    fine = build_grid(mesh.dim, max(resolutions))
+    coeffs = forward_auxnode(mesh, fine).coeffs
+    rasters = []
+    for r in resolutions:
+        grid = build_grid(mesh.dim, r)
+        field = SpectralField(grid, coeffs[_fine_rows(grid, fine)])
+        field = apply_filter(field, gaussian_filter(grid, config.filter_width))
+        rasters.append(inverse_transform(field))
+    return rasters
+
+
+def _rasterize_mres_backward(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
+                             raster_cotangents) -> MeshGradient:
+    """Gradient of ``sum_R sum_pixels cotangent_R * raster_R`` over the
+    rasters of :func:`_rasterize_mres`, from one backward sweep at the
+    largest resolution.
+
+    Each resolution's filtered adjoint joins one fine cotangent scaled by
+    ``w_R / w_f``, the ratio of the two grids' fold weights (1/2 at a
+    coarse last-axis Nyquist, whose conjugate the fine half-spectrum leaves
+    out), so the fine cotangent encodes the same linear functional.  The
+    gradient equals the sum of per-resolution ``rasterize_backward`` calls
+    up to round-off.
+    """
+    _check_strict(mesh, config)
+    fine = build_grid(mesh.dim, max(resolutions))
+    cot = np.zeros((fine.n_modes, mesh.channels), dtype=np.complex128)
+    for r, raster_cotangent in zip(resolutions, raster_cotangents, strict=True):
+        grid = build_grid(mesh.dim, r)
+        field = apply_filter(adjoint_transform(raster_cotangent, grid),
+                             gaussian_filter(grid, config.filter_width))
+        rows = _fine_rows(grid, fine)
+        np.add.at(cot, rows, field.coeffs * (grid.fold_weights / fine.fold_weights[rows])[:, None])
+    return backward_auxnode(mesh, fine, SpectralField(fine, cot))
 
 
 # ---------------------------------------------------------------------------

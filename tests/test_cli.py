@@ -245,6 +245,18 @@ class TestBenchCommand:
             rows = list(csv.reader(fh))
         assert [int(r[2]) for r in rows[1:]] == [4, 8]
 
+    @pytest.mark.parametrize("option, value", [
+        ("--res", "10:4"), ("--points", "5:10:0"), ("--points", "5:10:2:3"),
+        ("--points", "x"), ("--points", "5:10:-1"), ("--j", ","), ("--j", "1,x")])
+    def test_bad_list_or_range_exit_1(self, option, value, capsys):
+        """An empty list or range, a zero or negative step, a wrong number of
+        range parts or a non-integer fails before any timing, naming the option."""
+        code = main(["bench", "--j", "1", "--points", "5", "--res", "4", "--reps", "1",
+                     "--d", "2", option, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {option} must be" in err and "Traceback" not in err
+
 
 class TestFitCommand:
     def make_problem(self, tmp_path, shift):

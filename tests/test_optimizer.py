@@ -298,12 +298,12 @@ def without_memo(make_objective):
 
 class TestObjective:
     def test_calls_per_resolution(self, pass_counts):
-        """A probe runs the forwards; a gradient call at the probed state runs
-        only the backwards, once; any other gradient call runs both."""
+        """A probe runs one forward for all resolutions; a gradient call at
+        the probed state runs only one backward, once; any other gradient call
+        runs both."""
         problem = mres_problem(SQUARE)
-        n_res = len(problem.mres_resolutions)
         objective = sr.make_objective(problem)
-        assert pass_counts == {"forward": n_res, "backward": 0}  # each target once
+        assert pass_counts == {"forward": 1, "backward": 0}  # the target once
         state = problem.initial_state()
         for call_state, need_grad, forward, backward in (
                 (state, False, 1, 0),  # probe
@@ -313,11 +313,12 @@ class TestObjective:
             pass_counts.update(forward=0, backward=0)
             _, grad = objective(call_state, need_grad=need_grad)
             assert (grad is not None) == need_grad
-            assert pass_counts == {"forward": forward * n_res, "backward": backward * n_res}
+            assert pass_counts == {"forward": forward, "backward": backward}
 
     def test_fit_rasterizes_each_candidate_once(self, pass_counts, monkeypatch):
-        """One forward per target, start and line-search candidate, and one
-        backward per accepted state: accepting a candidate costs no forward."""
+        """One forward for the target, the start and each line-search
+        candidate, and one backward per accepted state, whatever the number
+        of resolutions: accepting a candidate costs no forward."""
         probes = []
         make_objective = sr.optimizer.make_objective
 
@@ -331,12 +332,10 @@ class TestObjective:
 
         monkeypatch.setattr(sr.optimizer, "make_objective", counted)
         problem = mres_problem(SQUARE, max_iters=8, step=2e-3)  # oversized: some halve
-        n_res = len(problem.mres_resolutions)
         result = sr.fit(problem)
         accepted, candidates = len(result.trajectory) - 1, sum(probes)
         assert accepted == 8 and candidates > accepted
-        assert pass_counts == {"forward": n_res * (1 + 1 + candidates),
-                               "backward": n_res * (1 + accepted)}
+        assert pass_counts == {"forward": 1 + 1 + candidates, "backward": 1 + accepted}
 
     @pytest.mark.parametrize("make", [
         lambda: square_problem(step=0.05, max_iters=10),
@@ -368,7 +367,7 @@ class TestObjective:
         state[0] += 0.01
         pass_counts.update(forward=0)
         result = objective(state)
-        assert pass_counts["forward"] == len(problem.mres_resolutions)
+        assert pass_counts["forward"] == 1
         self.assert_same(result, sr.make_objective(problem)(state.copy()))
 
     def test_gradient_at_another_state_after_probe(self):
@@ -386,8 +385,26 @@ class TestObjective:
         assert np.isnan(value) and grad is None
         pass_counts.update(forward=0)
         result = objective(state)  # the finite probe's rasters are gone
-        assert pass_counts["forward"] == len(problem.mres_resolutions)
+        assert pass_counts["forward"] == 1
         self.assert_same(result, sr.make_objective(problem)(state))
+
+    def test_value_equals_per_resolution_terms(self, rng):
+        """At fixed states the objective's value is, bit for bit, the sum of
+        the per-resolution raster terms from separate ``rasterize`` calls."""
+        problem = mres_problem(SQUARE)
+        objective, start = sr.make_objective(problem), problem.initial_state()
+        target = sr.pipeline._ccw_loop(problem.target.vertices)
+        configs = [replace(problem.config, resolution=r) for r in problem.mres_resolutions]
+        for state in [start] + [start + rng.uniform(-0.02, 0.02, start.shape)
+                                for _ in range(5)]:
+            mesh = problem.geometry(state)
+            expected = 0.0
+            for cfg in configs:
+                diff = sr.rasterize(mesh, cfg).values - sr.rasterize(target, cfg).values
+                expected += sr.optimizer._raster_loss(diff, squared=False)[0]
+            expected += problem.smooth_weight * sr.loss_smooth(mesh.vertices)[0]
+            assert objective(state, need_grad=False)[0] == expected
+            assert objective(state)[0] == expected
 
     def test_clockwise_start_matches_ccw_twin(self):
         cw = sr.fit(mres_problem(SQUARE[::-1] + [0.01, 0.02], max_iters=15))

@@ -261,6 +261,62 @@ class TestLossMres:
         assert np.allclose(grads_cw[0], grads_ccw[0][::-1])
 
 
+MRES_LISTS = {"sorted": (16, 32, 64), "odd": (15, 31, 33), "unsorted": (64, 16, 32),
+              "repeated": (8, 8, 20)}
+
+
+class TestFineSpectrum:
+    """Every resolution's raster term from one sweep at the largest."""
+
+    @staticmethod
+    def loop(rng):
+        return sr.pipeline._ccw_loop(sr.random_simple_polygon(12, rng))
+
+    @pytest.mark.parametrize("resolutions", MRES_LISTS.values(), ids=MRES_LISTS)
+    def test_rasters_equal_separate_calls(self, resolutions, rng):
+        mesh, cfg = self.loop(rng), sr.RasterizeConfig(4, mode="auxnode")
+        rasters = sr.pipeline._rasterize_mres(mesh, cfg, resolutions)
+        assert [r.resolution for r in rasters] == list(resolutions)
+        for raster, r in zip(rasters, resolutions):
+            assert np.array_equal(raster.values,
+                                  sr.rasterize(mesh, replace(cfg, resolution=r)).values)
+
+    @pytest.mark.parametrize("resolutions, cotangent", [
+        *(pytest.param(res, "random", id=name) for name, res in MRES_LISTS.items()),
+        pytest.param((16, 32, 64), "nyquist32", id="nyquist32")])
+    def test_gradient_matches_per_resolution_sum(self, resolutions, cotangent, rng):
+        """``nyquist32`` is supported only on R=32's last-axis Nyquist
+        column, whose fold weight is 1 at R=32 but 2 at R=64."""
+        mesh, cfg = self.loop(rng), sr.RasterizeConfig(4, filter_width=1.0, mode="auxnode")
+        if cotangent == "random":
+            cots = [rng.standard_normal((r, r)) for r in resolutions]
+        else:
+            cots = [np.zeros((r, r)) for r in resolutions]
+            cots[1] = np.outer(rng.standard_normal(32), (-1.0) ** np.arange(32))
+            spectrum = np.fft.rfft(cots[1], axis=1)
+            assert np.abs(spectrum[:, :-1]).max() <= 1e-12 * np.abs(spectrum[:, -1]).max()
+        grad = sr.pipeline._rasterize_mres_backward(mesh, cfg, resolutions, cots).d_vertices
+        expected = sum(sr.rasterize_backward(mesh, replace(cfg, resolution=r), cot).d_vertices
+                       for r, cot in zip(resolutions, cots))
+        assert np.abs(expected).max() > 0
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_strict_rule_in_both_passes(self):
+        open_loop = STRICT_PROBES["open auxnode boundary"][0]
+        cfg = sr.RasterizeConfig(4, mode="auxnode", strict=True)
+        with pytest.raises(sr.MeshValidationError, match="not watertight"):
+            sr.pipeline._rasterize_mres(open_loop, cfg, (8, 16))
+        with pytest.raises(sr.MeshValidationError, match="not watertight"):
+            sr.pipeline._rasterize_mres_backward(open_loop, cfg, (8, 16),
+                                                 [np.ones((8, 8)), np.ones((16, 16))])
+
+    @pytest.mark.parametrize("resolution", [1, 16.0, True])
+    def test_loss_mres_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            sr.loss_mres([(SQUARE, 16), (SQUARE, resolution)], SQUARE,
+                         sr.RasterizeConfig(resolution=16))
+
+
 class TestLossSmooth:
     def test_square_exact(self):
         value, _ = sr.loss_smooth(SQUARE)
