@@ -140,11 +140,11 @@ def run_bench(j_list, points_list, res_list, reps, d=3, seed=0, h=1e-6,
               workers=1) -> list[BenchRecord]:
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
+    if max(j_list) > d:
+        raise ValueError(f"--j must be at most --d ({d}), got j={max(j_list)}")
     rng = np.random.default_rng(seed)
     records = []
     for j in j_list:
-        if j > d:
-            continue
         for n_points in points_list:
             for res in res_list:
                 mesh = random_mesh(j, d, n_points, rng)

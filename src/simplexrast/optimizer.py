@@ -14,9 +14,10 @@ import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
 from .meshcore import SimplexMesh
-from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real,
-                       _rasterize_mres, _rasterize_mres_backward, loss_smooth, rasterize,
-                       rasterize_backward)
+from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real, _rasters,
+                       _rasters_backward, loss_smooth)
+# not called here: perfbench/layers.py wraps these two module attributes by name
+from .pipeline import rasterize, rasterize_backward  # noqa: F401
 from .spectral import Raster
 
 VARIABLES = ("vertices", "rig", "pose")
@@ -170,14 +171,14 @@ def loss_mres(candidates, target_polygon, config: RasterizeConfig):
     target = _ccw_loop(target_polygon)
     if not candidates:
         return 0.0, []
-    targets = _rasterize_mres(target, config, [r for _, r in candidates])
+    targets = _rasters(target, config, [r for _, r in candidates])
     total, grads = 0.0, []
     for (polygon, resolution), target_raster in zip(candidates, targets):
         loop = _ccw_loop(polygon)
-        (raster,) = _rasterize_mres(loop, config, [resolution])
+        (raster,) = _rasters(loop, config, [resolution])
         value, cot = _raster_loss(raster.values - target_raster.values, squared=False)
         total += value
-        grads.append(_rasterize_mres_backward(loop, config, [resolution], [cot]).d_vertices)
+        grads.append(_rasters_backward(loop, config, [resolution], [cot]).d_vertices)
     return total, grads
 
 
@@ -185,34 +186,35 @@ def make_objective(problem: FitProblem):
     """Callable (state, need_grad=True) -> (loss, gradient-or-None).
 
     Sums the raster L2 (``l2``) or L1 distance to each target, rasterized
-    here once, plus for ``mres_smooth`` the weighted loop smoothness.  An
-    ``mres_smooth`` call rasterizes every resolution from one forward sweep
-    at the largest and takes the gradient of all of them from one backward
-    sweep there (``pipeline._rasterize_mres``), whatever the number of
-    resolutions.
+    here once, plus for ``mres_smooth`` the weighted loop smoothness.  The
+    resolutions are ``mres_resolutions`` for ``mres_smooth`` and the
+    config's one resolution otherwise.  A call rasterizes every resolution
+    from one forward sweep at the largest and takes the gradient of all of
+    them from one backward sweep there (``pipeline._rasters``).  A target
+    whose channel count is not the mesh's is a ValueError.
 
     A ``need_grad=False`` call on a finite state keeps its raster
     differences for the next call only.  If that call asks for the gradient
     at a state of the same shape, dtype and bytes, as ``fit`` does for an
     accepted line-search candidate, it runs only the backward pass.
     """
-    config, resolutions = problem.config, problem.mres_resolutions
-    mres = problem.loss == "mres_smooth"
-    if mres:
-        target = problem.target
-        loop = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
-                else _ccw_loop(target))
-        config = replace(config, mode="auxnode")
-        targets = _rasterize_mres(loop, config, resolutions)
-    elif isinstance(problem.target, Raster):
-        if problem.target.resolution != config.resolution:
+    config, target, resolutions = problem.config, problem.target, (problem.config.resolution,)
+    if problem.loss == "mres_smooth":
+        config, resolutions = replace(config, mode="auxnode"), problem.mres_resolutions
+        target = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
+                  else _ccw_loop(target))
+    if isinstance(target, Raster):
+        if target.resolution != config.resolution:
             raise ValueError("target raster resolution does not match config")
-        targets = [problem.target]
-    elif isinstance(problem.target, SimplexMesh):
-        targets = [rasterize(problem.target, config)]
+        targets = [target]
+    elif isinstance(target, SimplexMesh):
+        targets = _rasters(target, config, resolutions)
     else:
         raise TypeError("target must be a Raster or a SimplexMesh")
-    smooth = mres and problem.smooth_weight > 0
+    if target.channels != problem.mesh.channels:
+        raise ValueError(f"target {type(target).__name__} has {target.channels} channel(s), "
+                         f"mesh has {problem.mesh.channels}")
+    smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
     probe = None  # (state key, raster differences) of the last finite need_grad=False call
 
     def objective(state, need_grad=True):
@@ -228,8 +230,7 @@ def make_objective(problem: FitProblem):
         if need_grad and held is not None and held[0] == key:
             diffs = held[1]
         else:
-            rasters = (_rasterize_mres(mesh, config, resolutions) if mres
-                       else [rasterize(mesh, config)])
+            rasters = _rasters(mesh, config, resolutions)
             diffs = [r.values - t.values for r, t in zip(rasters, targets)]
         if not need_grad:
             probe = key, diffs
@@ -243,8 +244,7 @@ def make_objective(problem: FitProblem):
             value += problem.smooth_weight * s_val
         if not need_grad:
             return value, None
-        dv = (_rasterize_mres_backward(mesh, config, resolutions, cots) if mres
-              else rasterize_backward(mesh, config, cots[0])).d_vertices
+        dv = _rasters_backward(mesh, config, resolutions, cots).d_vertices
         if smooth:
             dv = dv + problem.smooth_weight * s_grad
         if problem.variable == "vertices":

@@ -2,9 +2,11 @@
 
 Forward: mesh -> spectral transform -> Gaussian filter -> inverse
 transform.  Backward: raster cotangent -> adjoint transform -> filter
-(self-adjoint) -> mesh gradients.  Polygons are closed 2D vertex loops
-rasterized through their boundary via the auxiliary-node transform, which
-also works for non-convex shapes.
+(self-adjoint) -> mesh gradients.  Each direction has one builder, which
+serves a list of resolutions from one sweep at the largest (``_rasters``,
+``_rasters_backward``).  Polygons are closed 2D vertex loops rasterized
+through their boundary via the auxiliary-node transform, which also works
+for non-convex shapes.
 """
 
 from __future__ import annotations
@@ -80,30 +82,13 @@ def _check_strict(mesh: SimplexMesh, config: RasterizeConfig) -> None:
 
 def rasterize(mesh: SimplexMesh, config: RasterizeConfig) -> Raster:
     """Filtered raster of the mesh's piecewise-constant field."""
-    _check_strict(mesh, config)
-    grid = build_grid(mesh.dim, config.resolution)
-    forward = forward_mesh if config.mode == "simplex" else forward_auxnode
-    field = forward(mesh, grid)
-    field = apply_filter(field, gaussian_filter(grid, config.filter_width))
-    return inverse_transform(field)
-
-
-def _spectral_cotangent(mesh: SimplexMesh, config: RasterizeConfig, raster_cotangent):
-    """The set-up of both raster-space gradients: the strict check, then the
-    grid and the filtered adjoint of the cotangent (a ``Raster`` or an
-    array of raster shape, with or without the channel axis)."""
-    _check_strict(mesh, config)
-    grid = build_grid(mesh.dim, config.resolution)
-    cot = adjoint_transform(raster_cotangent, grid)
-    return grid, apply_filter(cot, gaussian_filter(grid, config.filter_width))
+    return _rasters(mesh, config, (config.resolution,))[0]
 
 
 def rasterize_backward(mesh: SimplexMesh, config: RasterizeConfig,
                        raster_cotangent) -> MeshGradient:
     """Gradient of ``L = sum_pixels cotangent * raster`` in mesh parameters."""
-    grid, cot = _spectral_cotangent(mesh, config, raster_cotangent)
-    backward = backward_mesh if config.mode == "simplex" else backward_auxnode
-    return backward(mesh, grid, cot)
+    return _rasters_backward(mesh, config, (config.resolution,), [raster_cotangent])
 
 
 def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
@@ -117,66 +102,78 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     elements that contain the perturbed vertex: the others cancel exactly
     in the central difference.
     """
-    grid, cot = _spectral_cotangent(mesh, config, raster_cotangent)
+    grid, cot = _fine_cotangent(mesh, config, (config.resolution,), [raster_cotangent])
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
     return _central_differences(mesh, forward, grid, cot, h, local=True)
 
 
 # ---------------------------------------------------------------------------
-# several resolutions from one fine spectrum
+# every raster term from one spectrum at the finest resolution
 
-def _fine_rows(grid: SpectralGrid, fine: SpectralGrid) -> np.ndarray:
+def _fine_rows(grid: SpectralGrid, fine: SpectralGrid):
     """Row of each of ``grid``'s modes in ``fine``, a grid at least as fine:
     a full-axis frequency m sits at index m mod R_f, a last-axis one at
-    itself."""
+    itself.  Every row, in order, when ``grid`` is ``fine``."""
+    if grid is fine:
+        return slice(None)
     return np.ravel_multi_index(tuple((grid.modes % fine.resolution).T), fine.half_shape)
 
 
-def _rasterize_mres(mesh: SimplexMesh, config: RasterizeConfig, resolutions) -> list:
-    """Filtered auxnode rasters of ``mesh`` at each of ``resolutions`` (in
-    that order, repeats allowed), from one forward sweep at the largest.
+def _rasters(mesh: SimplexMesh, config: RasterizeConfig, resolutions) -> list:
+    """Filtered rasters of ``mesh`` at each of ``resolutions`` (in that
+    order, repeats allowed), from one forward sweep at the largest.
 
     The coefficients are exact per integer mode and every coarser grid's
-    modes are modes of the fine grid, so each raster equals ``rasterize``
-    at its resolution bit for bit.
+    modes are modes of the fine grid, so each raster equals a sweep at its
+    own resolution bit for bit.
     """
     for r in resolutions:
         _check_int(r, "resolution", 2)
     _check_strict(mesh, config)
-    fine = build_grid(mesh.dim, max(resolutions))
-    coeffs = forward_auxnode(mesh, fine).coeffs
+    grids = [build_grid(mesh.dim, r) for r in resolutions]
+    fine = max(grids, key=lambda grid: grid.resolution)
+    forward = forward_mesh if config.mode == "simplex" else forward_auxnode
+    coeffs = forward(mesh, fine).coeffs
     rasters = []
-    for r in resolutions:
-        grid = build_grid(mesh.dim, r)
+    for grid in grids:
         field = SpectralField(grid, coeffs[_fine_rows(grid, fine)])
         field = apply_filter(field, gaussian_filter(grid, config.filter_width))
         rasters.append(inverse_transform(field))
     return rasters
 
 
-def _rasterize_mres_backward(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
-                             raster_cotangents) -> MeshGradient:
-    """Gradient of ``sum_R sum_pixels cotangent_R * raster_R`` over the
-    rasters of :func:`_rasterize_mres`, from one backward sweep at the
-    largest resolution.
-
-    Each resolution's filtered adjoint joins one fine cotangent scaled by
-    ``w_R / w_f``, the ratio of the two grids' fold weights (1/2 at a
-    coarse last-axis Nyquist, whose conjugate the fine half-spectrum leaves
-    out), so the fine cotangent encodes the same linear functional.  The
-    gradient equals the sum of per-resolution ``rasterize_backward`` calls
-    up to round-off.
-    """
+def _fine_cotangent(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
+                    raster_cotangents) -> tuple[SpectralGrid, SpectralField]:
+    """The set-up of every raster-space gradient: the strict check, then the
+    largest resolution's grid and one cotangent there for ``sum_R
+    sum_pixels cotangent_R * raster_R`` (each cotangent a ``Raster`` or an
+    array of raster shape, with or without the channel axis).  Each
+    filtered adjoint joins it scaled by ``w_R / w_f``, the ratio of the
+    grids' fold weights (1/2 at a coarse last-axis Nyquist, whose conjugate
+    the fine half-spectrum leaves out)."""
     _check_strict(mesh, config)
-    fine = build_grid(mesh.dim, max(resolutions))
-    cot = np.zeros((fine.n_modes, mesh.channels), dtype=np.complex128)
-    for r, raster_cotangent in zip(resolutions, raster_cotangents, strict=True):
-        grid = build_grid(mesh.dim, r)
-        field = apply_filter(adjoint_transform(raster_cotangent, grid),
-                             gaussian_filter(grid, config.filter_width))
-        rows = _fine_rows(grid, fine)
-        np.add.at(cot, rows, field.coeffs * (grid.fold_weights / fine.fold_weights[rows])[:, None])
-    return backward_auxnode(mesh, fine, SpectralField(fine, cot))
+    grids = [build_grid(mesh.dim, r) for r in resolutions]
+    fine = max(grids, key=lambda grid: grid.resolution)
+    fields = [apply_filter(adjoint_transform(raster_cotangent, grid),
+                           gaussian_filter(grid, config.filter_width))
+              for grid, raster_cotangent in zip(grids, raster_cotangents, strict=True)]
+    # sized by the cotangent, not the mesh, so the backward pass reports a mismatch
+    cot = np.zeros((fine.n_modes, fields[0].channels), dtype=np.complex128)
+    for grid, field in zip(grids, fields):
+        rows = _fine_rows(grid, fine)  # distinct within one grid
+        cot[rows] += field.coeffs * (grid.fold_weights / fine.fold_weights[rows])[:, None]
+    return fine, SpectralField(fine, cot)
+
+
+def _rasters_backward(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
+                      raster_cotangents) -> MeshGradient:
+    """Gradient of ``sum_R sum_pixels cotangent_R * raster_R`` over the
+    rasters of :func:`_rasters`, from one backward sweep at the largest
+    resolution.  It equals the sum of per-resolution sweeps up to round-off.
+    """
+    fine, cot = _fine_cotangent(mesh, config, resolutions, raster_cotangents)
+    backward = backward_mesh if config.mode == "simplex" else backward_auxnode
+    return backward(mesh, fine, cot)
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,12 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--res", "10:4"), ("--points", "5:10:0"), ("--points", "5:10:2:3"),
-        ("--points", "x"), ("--points", "5:10:-1"), ("--j", ","), ("--j", "1,x")])
+        ("--points", "x"), ("--points", "5:10:-1"), ("--j", ","), ("--j", "1,x"),
+        ("--j", "3"), ("--j", "0:3")])
     def test_bad_list_or_range_exit_1(self, option, value, capsys):
         """An empty list or range, a zero or negative step, a wrong number of
-        range parts or a non-integer fails before any timing, naming the option."""
+        range parts, a non-integer or a j above --d fails before any timing,
+        naming the option."""
         code = main(["bench", "--j", "1", "--points", "5", "--res", "4", "--reps", "1",
                      "--d", "2", option, value])
         err = capsys.readouterr().err
@@ -339,6 +341,24 @@ class TestFitCommand:
             losses = [float(row[1]) for row in list(csv.reader(fh))[1:]]
         assert len(losses) > 1 and losses[-1] < losses[0]
         assert np.all(np.diff(losses) <= 0.0)
+
+    def test_target_raster_channel_mismatch_exit_1(self, tmp_path, capsys):
+        """A 1-channel target raster cannot drive a fit of a 3-channel mesh."""
+        self.make_problem(tmp_path, (0.05, 0.0))
+        target = str(tmp_path / "target.f32")
+        assert main(["rasterize", "--mesh", str(tmp_path / "target.json"), "--res", "16",
+                     "--mode", "auxnode", "--out", target]) == 0
+        init = json.loads((tmp_path / "init.json").read_text())
+        init["densities"] = [[1.0, 0.5, 0.25]] * 4
+        problem = json.loads((tmp_path / "problem.json").read_text())
+        del problem["target_mesh"]
+        problem.update(mesh=write_json(tmp_path / "rgb.json", init), target_raster=target,
+                       max_iters=2)
+        path = write_json(tmp_path / "rgb_problem.json", problem)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: target Raster has 1 channel(s), mesh has 3" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("role", ["mesh", "target_mesh"])
     def test_mres_loop_out_of_order_exit_2(self, tmp_path, capsys, role):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,26 @@ class TestFit:
             schedule=sr.Schedule(step=1e-3))
         with pytest.raises(ValueError):
             sr.fit(problem)
+
+    @pytest.mark.parametrize("mesh_channels, kind, target_channels", [
+        (3, "Raster", 1), (1, "Raster", 3), (1, "SimplexMesh", 3), (2, "SimplexMesh", 1)])
+    def test_target_channel_mismatch(self, mesh_channels, kind, target_channels):
+        """A target with another channel count than the mesh is rejected where
+        the objective is built, naming the target and both counts."""
+        def square(channels):
+            mesh = sr.polygon_boundary_mesh(SQUARE)
+            return sr.SimplexMesh(2, 1, mesh.vertices, mesh.elements, np.ones((4, channels)))
+
+        cfg = sr.RasterizeConfig(resolution=8, mode="auxnode")
+        target = square(target_channels)
+        if kind == "Raster":
+            target = sr.rasterize(target, cfg)
+        problem = sr.FitProblem(mesh=square(mesh_channels), target=target, config=cfg,
+                                schedule=sr.Schedule(step=1e-3, max_iters=2))
+        message = f"target {kind} has {target_channels} channel(s), mesh has {mesh_channels}"
+        for call in (sr.make_objective, sr.fit):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(problem)
 
     def test_rig_variable_descends(self):
         result = sr.fit(rig_problem(max_iters=40))

@@ -209,6 +209,27 @@ class TestRasterizeBackward:
         assert np.all(grad.d_vertices == 0) and np.all(grad.d_densities == 0)
 
 
+@pytest.mark.parametrize("mode, d", [("simplex", 2), ("simplex", 3), ("auxnode", 2)],
+                         ids=["simplex-2d", "simplex-3d", "auxnode-2d"])
+def test_passes_equal_stage_composition(mode, d, rng):
+    """``rasterize`` and ``rasterize_backward`` equal, bit for bit, the
+    stages composed by hand at the config's one resolution."""
+    mesh = (sr.pipeline._ccw_loop(sr.random_simple_polygon(12, rng)) if mode == "auxnode"
+            else sr.random_mesh(d, d, 9, rng, channels=2))
+    cfg = sr.RasterizeConfig(resolution=8, filter_width=1.5, mode=mode)
+    forward, backward = ((sr.forward_mesh, sr.backward_mesh) if mode == "simplex"
+                         else (sr.forward_auxnode, sr.backward_auxnode))
+    grid = sr.build_grid(d, 8)
+    gains = sr.gaussian_filter(grid, 1.5)
+    expected = sr.inverse_transform(sr.apply_filter(forward(mesh, grid), gains))
+    assert np.array_equal(sr.rasterize(mesh, cfg).values, expected.values)
+    cot = rng.standard_normal(expected.values.shape)
+    want = backward(mesh, grid, sr.apply_filter(sr.adjoint_transform(cot, grid), gains))
+    grad = sr.rasterize_backward(mesh, cfg, cot)
+    assert np.array_equal(grad.d_vertices, want.d_vertices)
+    assert np.array_equal(grad.d_densities, want.d_densities)
+
+
 class TestLossMres:
     def test_zero_at_match_with_zero_gradient(self):
         cfg = sr.RasterizeConfig(resolution=16)
@@ -275,7 +296,7 @@ class TestFineSpectrum:
     @pytest.mark.parametrize("resolutions", MRES_LISTS.values(), ids=MRES_LISTS)
     def test_rasters_equal_separate_calls(self, resolutions, rng):
         mesh, cfg = self.loop(rng), sr.RasterizeConfig(4, mode="auxnode")
-        rasters = sr.pipeline._rasterize_mres(mesh, cfg, resolutions)
+        rasters = sr.pipeline._rasters(mesh, cfg, resolutions)
         assert [r.resolution for r in rasters] == list(resolutions)
         for raster, r in zip(rasters, resolutions):
             assert np.array_equal(raster.values,
@@ -295,7 +316,7 @@ class TestFineSpectrum:
             cots[1] = np.outer(rng.standard_normal(32), (-1.0) ** np.arange(32))
             spectrum = np.fft.rfft(cots[1], axis=1)
             assert np.abs(spectrum[:, :-1]).max() <= 1e-12 * np.abs(spectrum[:, -1]).max()
-        grad = sr.pipeline._rasterize_mres_backward(mesh, cfg, resolutions, cots).d_vertices
+        grad = sr.pipeline._rasters_backward(mesh, cfg, resolutions, cots).d_vertices
         expected = sum(sr.rasterize_backward(mesh, replace(cfg, resolution=r), cot).d_vertices
                        for r, cot in zip(resolutions, cots))
         assert np.abs(expected).max() > 0
@@ -305,9 +326,9 @@ class TestFineSpectrum:
         open_loop = STRICT_PROBES["open auxnode boundary"][0]
         cfg = sr.RasterizeConfig(4, mode="auxnode", strict=True)
         with pytest.raises(sr.MeshValidationError, match="not watertight"):
-            sr.pipeline._rasterize_mres(open_loop, cfg, (8, 16))
+            sr.pipeline._rasters(open_loop, cfg, (8, 16))
         with pytest.raises(sr.MeshValidationError, match="not watertight"):
-            sr.pipeline._rasterize_mres_backward(open_loop, cfg, (8, 16),
+            sr.pipeline._rasters_backward(open_loop, cfg, (8, 16),
                                                  [np.ones((8, 8)), np.ones((16, 16))])
 
     @pytest.mark.parametrize("resolution", [1, 16.0, True])
