@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 tolerance
 failure, 4 fit diverged (non-finite loss).  All paths are relative to the
-working directory.  DDSL_WORKERS caps library parallelism; every command
-is deterministic given --seed.
+working directory.  DDSL_WORKERS caps library parallelism and changes no
+output; every command is deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -136,12 +136,19 @@ def _time_call(fn, reps: int) -> tuple[float, float]:
     return float(np.mean(times)), float(np.std(times))
 
 
-def run_bench(j_list, points_list, res_list, reps, d=3, seed=0, h=1e-6,
-              workers=1) -> list[BenchRecord]:
+def run_bench(j_list, points_list, res_list, reps, d=3, seed=0) -> list[BenchRecord]:
+    """Time both backward passes at DDSL_WORKERS; every option is checked first."""
+    if d not in (2, 3):
+        raise ValueError(f"--d must be 2 or 3, got {d}")
+    if min(j_list) < 0 or max(j_list) > d:
+        raise ValueError(f"--j must be in [0, --d] = [0, {d}], got {j_list}")
+    if min(points_list) < max(j_list) + 1:
+        raise ValueError(f"--points must be at least max(--j) + 1 = {max(j_list) + 1}, "
+                         f"got {min(points_list)}")
+    if min(res_list) < 2:
+        raise ValueError(f"--res must be at least 2, got {min(res_list)}")
     if reps < 1:
-        raise ValueError("repetitions must be >= 1")
-    if max(j_list) > d:
-        raise ValueError(f"--j must be at most --d ({d}), got j={max(j_list)}")
+        raise ValueError(f"--reps must be at least 1, got {reps}")
     rng = np.random.default_rng(seed)
     records = []
     for j in j_list:
@@ -150,20 +157,17 @@ def run_bench(j_list, points_list, res_list, reps, d=3, seed=0, h=1e-6,
                 mesh = random_mesh(j, d, n_points, rng)
                 grid = build_grid(d, res)
                 cot = adjoint_transform(random_raster_cotangent(d, res, rng), grid)
-                analytic_ms = _time_call(
-                    lambda: backward_mesh(mesh, grid, cot, workers=workers), reps)
-                numeric_ms = _time_call(
-                    lambda: numeric_backward(mesh, grid, cot, h=h), reps)
+                analytic_ms = _time_call(lambda: backward_mesh(mesh, grid, cot), reps)
+                numeric_ms = _time_call(lambda: numeric_backward(mesh, grid, cot), reps)
                 records.append(BenchRecord(j, d, n_points, res, reps,
                                            analytic_ms, numeric_ms))
     return records
 
 
 def cmd_bench(args) -> int:
-    workers = 1 if args.single_thread else None  # None: DDSL_WORKERS
     records = run_bench(_parse_int_list(args.j, "--j"), _parse_int_list(args.points, "--points"),
                         _parse_int_list(args.res, "--res"), args.reps, d=args.d,
-                        seed=args.seed, workers=workers)
+                        seed=args.seed)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -174,10 +178,9 @@ def cmd_bench(args) -> int:
         print(f"j={rec.j} d={rec.d} points={rec.n_points} R={rec.resolution}: "
               f"analytic {rec.analytic_ms[0]:.3f} ms, numeric {rec.numeric_ms[0]:.3f} ms, "
               f"speedup {rec.speedup:.1f}x")
-    if records:
-        speedups = [rec.speedup for rec in records]
-        print(f"speedup: min {min(speedups):.1f}x, median {np.median(speedups):.1f}x, "
-              f"max {max(speedups):.1f}x")
+    speedups = [rec.speedup for rec in records]  # never empty: every list has a value
+    print(f"speedup: min {min(speedups):.1f}x, median {np.median(speedups):.1f}x, "
+          f"max {max(speedups):.1f}x")
     return EXIT_OK
 
 
@@ -193,7 +196,7 @@ def _finite_mesh(mesh, role: str):
 
 #: the keys a fit spec, its ``rig`` and its ``pose`` may hold; any other is a typo
 _FIT_KEYS = ("mesh", "target_mesh", "target_raster", "resolution", "filter_width", "mode",
-             "step", "max_iters", "tol", "backtrack", "snapshot_every", "rig", "pose",
+             "step", "max_iters", "tol", "snapshot_every", "rig", "pose",
              "variable", "loss", "smooth_weight", "mres_resolutions")
 _RIG_KEYS = ("centers", "controls", "weights")
 _POSE_KEYS = ("q", "t", "pivot")
@@ -236,8 +239,7 @@ def _fit_problem(spec: dict) -> FitProblem:
                              mode=spec.get("mode", "simplex"))
     schedule = Schedule(step=spec.get("step", 1e-3),
                         max_iters=spec.get("max_iters", 500),
-                        tol=spec.get("tol", 0.0),
-                        backtrack=spec.get("backtrack", True))
+                        tol=spec.get("tol", 0.0))
     rig = None
     if spec.get("rig"):
         rig_spec = _json_object(spec["rig"], "rig", _RIG_KEYS)
@@ -339,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
-    p.add_argument("--single-thread", action="store_true",
-                   help="pin to one worker for stable timings")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("fit", help="run a gradient-descent fit problem")

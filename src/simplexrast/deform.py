@@ -60,12 +60,12 @@ def _rows(value, width: int, name: str) -> np.ndarray:
     return rows
 
 
-def inverse_square_weights(vertices, centers, eps: float = WEIGHT_EPS) -> np.ndarray:
-    """Default skinning weights: normalized 1 / (|v - c|^2 + eps)."""
+def inverse_square_weights(vertices, centers) -> np.ndarray:
+    """Default skinning weights: normalized 1 / (|v - c|^2 + WEIGHT_EPS)."""
     v = np.asarray(vertices, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
     d2 = np.sum((v[:, None, :] - c[None, :, :]) ** 2, axis=2)
-    w = 1.0 / (d2 + eps)
+    w = 1.0 / (d2 + WEIGHT_EPS)
     return w / w.sum(axis=1, keepdims=True)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshcore import SimplexMesh, _weight_gradients
-from .nuft import _I_POW, _checked_elements, _sweep, forward_auxnode, forward_mesh
+from .nuft import _I_POW, _LANES, _checked_elements, _sweep, forward_auxnode, forward_mesh
 from .spectral import SpectralField, SpectralGrid, spectral_inner
 
 
@@ -48,24 +48,23 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     # cotangent and fold weights as one per-(mode, channel) factor
     wcot = grid.fold_weights[:, None] * np.conj(cotangent.coeffs)
 
-    def reduce(tiles):
-        """This worker's sums over its modes: a_e = sum ghat S, the kernel
-        part b_epd = sum ghat coef_p k_d (auxiliary origin slot dropped, it
-        is fixed) and the density rows sum S w conj(G)."""
-        a = np.zeros(n_e, dtype=np.complex128)
-        b = np.zeros((slots, n_e, d), dtype=np.complex128)
-        dd = np.zeros((n_e, mesh.channels), dtype=np.complex128)
-        for elems, modes, (s, coefs) in tiles:
-            ghat = dens[elems] @ wcot[modes].T
-            a[elems] += np.einsum("em,em->e", ghat, s)
-            b[:, elems] += (ghat * coefs[int(auxnode):]) @ wavevectors[modes]
-            dd[elems] += s @ wcot[modes]
-        return a, b, dd
+    # per-lane sums over the modes: a_e = sum ghat S, the kernel part
+    # b_epd = sum ghat coef_p k_d (auxiliary origin slot dropped, it is fixed)
+    # and the density rows sum S w conj(G)
+    a = np.zeros((_LANES, n_e), dtype=np.complex128)
+    b = np.zeros((_LANES, slots, n_e, d), dtype=np.complex128)
+    dd = np.zeros((_LANES, n_e, mesh.channels), dtype=np.complex128)
 
-    parts = _sweep(mesh, wavevectors, auxnode, True, workers, reduce)
-    a, b, dd = parts[0]
-    for part in parts[1:]:  # worker order
-        a, b, dd = a + part[0], b + part[1], dd + part[2]
+    def reduce(tiles):  # each lane is written by one thread only
+        for lane, elems, modes, (s, coefs) in tiles:
+            ghat = dens[elems] @ wcot[modes].T
+            a[lane, elems] += np.einsum("em,em->e", ghat, s)
+            b[lane, :, elems] += (ghat * coefs[int(auxnode):]) @ wavevectors[modes]
+            dd[lane, elems] += s @ wcot[modes]
+
+    _sweep(mesh, wavevectors, auxnode, True, workers, reduce)
+    # in lane order; a lane without tiles adds exact zeros
+    a, b, dd = (sum(lanes[1:], lanes[0]) for lanes in (a, b, dd))
 
     ij = _I_POW[(slots - 1 + auxnode) % 4]
     slot_grad = (ij * (a[:, None, None] * dweights

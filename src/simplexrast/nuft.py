@@ -56,13 +56,16 @@ _SERIES_TERMS = 12
 # per worker at a few MiB whatever the size of the mesh x grid product.
 _TILE_PAIRS = 1 << 15
 
+#: accumulation lanes of a sweep, fixed whatever the worker count (see ``_sweep``)
+_LANES = 8
+
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)  # exact i**n cycle; (-i)**n at -n % 4
 _FACTORIALS = np.array([math.factorial(n) for n in range(_SERIES_TERMS + 8)], dtype=np.float64)
 
 
-def _thread_count(workers, n_tiles: int) -> int:
+def _thread_count(workers, lanes: int) -> int:
     """Threads for one call: the ``workers`` argument, else DDSL_WORKERS,
-    else 1, capped by the mode-tile count and by ``os.cpu_count()``, so a
+    else 1, capped by the lanes that hold tiles and by ``os.cpu_count()``, so a
     huge DDSL_WORKERS starts no more threads than there are CPUs.  A count
     that is not an integer >= 1 is an error naming where it came from."""
     source = "workers"
@@ -71,7 +74,7 @@ def _thread_count(workers, n_tiles: int) -> int:
         workers = int(workers) if workers.isdecimal() else workers
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")
-    return min(workers, n_tiles, os.cpu_count() or 1)
+    return min(workers, lanes, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +263,8 @@ def _tiles(n_elements: int, n_modes: int):
 
 
 def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
-           reduce) -> list:
-    """Run ``_kernel`` over every tile and return each worker's ``reduce``
-    result, in worker order.
+           reduce) -> None:
+    """Run ``_kernel`` over every tile and hand the results to ``reduce``.
 
     Per element block the used vertices are found once, with a node-major
     (nodes, elements) index into them; in auxnode mode the auxiliary
@@ -271,15 +273,15 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
     phases for ``_kernel`` and hands it the exps as a table, so the table
     is bounded by the used set, never by the whole mesh.
 
-    ``reduce`` gets a generator of (element span, mode span, kernel) over
-    its worker's tiles.  Worker w gets mode tiles w, w + W, w + 2W, ... and
-    runs each tile's element blocks in order.  The assignment is static,
-    so a fixed worker count gives the same result on every run.
+    ``reduce`` is called once per thread with a generator of (lane, element
+    span, mode span, kernel).  Mode tile t is in lane t mod ``_LANES``, and
+    thread w of W runs the tiles of the lanes congruent to w mod W in tile
+    order, so each lane's tiles come in one thread and one order whatever W.
     """
     n_elements, n_nodes = mesh.elements.shape
     e_bounds, m_bounds = _tiles(n_elements, len(wavevectors))
     n_tiles = len(m_bounds) - 1
-    workers = _thread_count(workers, n_tiles)
+    workers = _thread_count(workers, min(_LANES, n_tiles))
     blocks = []
     for e0, e1 in zip(e_bounds[:-1], e_bounds[1:]):
         used, inv = np.unique(mesh.elements[e0:e1].T, return_inverse=True)
@@ -289,7 +291,9 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
         blocks.append((slice(e0, e1), mesh.vertices[used], inv))
 
     def tiles(w):
-        for t in range(w, n_tiles, workers):
+        for t in range(n_tiles):
+            if t % _LANES % workers != w:
+                continue
             modes = slice(m_bounds[t], m_bounds[t + 1])
             k = wavevectors[modes].T
             for elems, verts, inv in blocks:
@@ -300,12 +304,12 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
                 sv[:auxnode] = 0.0
                 np.matmul(verts, k, out=sv[auxnode:])
                 ev = np.multiply(sv, -1j)
-                yield elems, modes, _kernel(sv[inv], slots, (np.exp(ev, out=ev), inv))
+                yield t % _LANES, elems, modes, _kernel(sv[inv], slots, (np.exp(ev, out=ev), inv))
 
     if workers == 1:
-        return [reduce(tiles(0))]
+        return reduce(tiles(0))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda w: reduce(tiles(w)), range(workers)))
+        list(pool.map(lambda w: reduce(tiles(w)), range(workers)))
 
 
 def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:
@@ -315,7 +319,7 @@ def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> S
     coeffs = np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128)
 
     def reduce(tiles):  # each mode tile writes only its own rows of coeffs
-        for elems, modes, s in tiles:
+        for _, elems, modes, s in tiles:
             coeffs[modes] += s.T @ factor[elems]
 
     _sweep(mesh, grid.wavevectors, auxnode, False, workers, reduce)

@@ -2,8 +2,8 @@
 
 The losses compare the rasterization of the current geometry with a fixed
 target raster, so every gradient flows through the analytic backward pass.
-Plain gradient descent with optional backtracking (halve the step while it
-would increase the loss) keeps the recorded loss sequence non-increasing.
+Gradient descent with backtracking (halve the step while it would increase
+the loss) keeps the recorded loss sequence non-increasing.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class Schedule:
     step: float
     max_iters: int = 500
     tol: float = 0.0
-    backtrack: bool = True
 
     def __post_init__(self):
         _check_real(self.step, "step")
@@ -44,8 +43,6 @@ class Schedule:
             raise ValueError(f"step must be positive, got {self.step!r}")
         _check_int(self.max_iters, "max_iters", 0)
         _check_real(self.tol, "tol")
-        if not isinstance(self.backtrack, (bool, np.bool_)):
-            raise ValueError(f"backtrack must be true or false, got {self.backtrack!r}")
 
 
 @dataclass
@@ -263,11 +260,10 @@ def fit(problem: FitProblem) -> FitResult:
     """Minimize the problem's loss by gradient descent.
 
     Each iteration restarts from the scheduled step and halves it while
-    the move would increase the loss (when backtracking is enabled), so
-    recorded losses never increase.  Candidates are probed with
-    ``need_grad=False``; the gradient call at the accepted candidate that
-    follows reuses the probe's rasters (see ``make_objective``), so each
-    candidate is rasterized once.  Stops at the iteration cap, when no
+    the move would increase the loss, so recorded losses never increase.
+    Candidates are probed with ``need_grad=False``; the gradient call at
+    the accepted candidate that follows reuses the probe's rasters (see
+    ``make_objective``), so each candidate is rasterized once.  Stops at the iteration cap, when no
     halving yields a decrease, when the loss hits zero, or when the loss
     improved by less than ``tol`` over the last 10 iterations.
     """
@@ -285,17 +281,15 @@ def fit(problem: FitProblem) -> FitResult:
             result.message = "loss reached zero"
             break
         step = sched.step
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = state - step * grad
             cand_loss, _ = objective(cand, need_grad=False)
             if not np.isfinite(cand_loss):
                 raise FitDivergedError(f"non-finite loss at iteration {it}")
-            if cand_loss <= loss or not sched.backtrack:
-                accepted = True
+            if cand_loss <= loss:
                 break
             step *= 0.5
-        if not accepted:
+        else:  # every halving raised the loss
             result.converged = True
             result.message = "no descent direction within the halving budget"
             break

@@ -157,9 +157,10 @@ def _fine_cotangent(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
     fields = [apply_filter(adjoint_transform(raster_cotangent, grid),
                            gaussian_filter(grid, config.filter_width))
               for grid, raster_cotangent in zip(grids, raster_cotangents, strict=True)]
-    # sized by the cotangent, not the mesh, so the backward pass reports a mismatch
-    cot = np.zeros((fine.n_modes, fields[0].channels), dtype=np.complex128)
+    cot = np.zeros((fine.n_modes, mesh.channels), dtype=np.complex128)
     for grid, field in zip(grids, fields):
+        if field.channels != mesh.channels:
+            raise ValueError(f"cotangent has {field.channels} channels, mesh has {mesh.channels}")
         rows = _fine_rows(grid, fine)  # distinct within one grid
         cot[rows] += field.coeffs * (grid.fold_weights / fine.fold_weights[rows])[:, None]
     return fine, SpectralField(fine, cot)
@@ -203,12 +204,12 @@ def polygon_boundary_mesh(polygon, density: float = 1.0) -> SimplexMesh:
     return SimplexMesh(2, 1, p, elements, np.full(n, float(density)))
 
 
-def polygon_fan_mesh(polygon, density: float = 1.0) -> SimplexMesh:
-    """Fan triangulation from vertex 0 (valid for convex polygons)."""
+def polygon_fan_mesh(polygon) -> SimplexMesh:
+    """Unit-density fan triangulation from vertex 0 (valid for convex polygons)."""
     p = _check_polygon(polygon)
     n = p.shape[0]
     tris = [[0, i, i + 1] for i in range(1, n - 1)]
-    return SimplexMesh(2, 2, p, np.asarray(tris), np.full(n - 2, float(density)))
+    return SimplexMesh(2, 2, p, np.asarray(tris), np.ones(n - 2))
 
 
 def _undirected(elements) -> set:

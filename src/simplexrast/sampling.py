@@ -37,33 +37,27 @@ def random_mesh(degree: int, dim: int, n_points: int, rng: np.random.Generator,
     return SimplexMesh(dim, degree, vertices, np.asarray(rows), densities)
 
 
-def random_convex_polygon(n: int, rng: np.random.Generator,
-                          center=(0.5, 0.5), radius_range=(0.15, 0.35)) -> np.ndarray:
-    """Convex CCW polygon: sorted angles on a random ellipse."""
+def random_convex_polygon(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Convex CCW polygon: sorted angles on a random ellipse about (0.5, 0.5)."""
     while True:
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
         if np.min(np.diff(angles, append=angles[0] + 2 * np.pi)) > 0.05:
             break
-    a = rng.uniform(*radius_range)
-    b = rng.uniform(*radius_range)
-    poly = np.stack([center[0] + a * np.cos(angles),
-                     center[1] + b * np.sin(angles)], axis=1)
-    return poly
+    a = rng.uniform(0.15, 0.35)
+    b = rng.uniform(0.15, 0.35)
+    return np.stack([0.5 + a * np.cos(angles), 0.5 + b * np.sin(angles)], axis=1)
 
 
-def random_simple_polygon(n: int, rng: np.random.Generator,
-                          center=(0.5, 0.5), radius_range=(0.12, 0.35)) -> np.ndarray:
+def random_simple_polygon(n: int, rng: np.random.Generator) -> np.ndarray:
     """Star-shaped (hence simple) CCW polygon with random per-vertex radii."""
     while True:
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
         if np.min(np.diff(angles, append=angles[0] + 2 * np.pi)) > 0.03:
             break
-    radii = rng.uniform(*radius_range, size=n)
-    return np.stack([center[0] + radii * np.cos(angles),
-                     center[1] + radii * np.sin(angles)], axis=1)
+    radii = rng.uniform(0.12, 0.35, size=n)
+    return np.stack([0.5 + radii * np.cos(angles), 0.5 + radii * np.sin(angles)], axis=1)
 
 
-def random_raster_cotangent(dim: int, resolution: int, rng: np.random.Generator,
-                            channels: int = 1) -> np.ndarray:
-    return rng.standard_normal(size=(resolution,) * dim + (channels,))
+def random_raster_cotangent(dim: int, resolution: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(size=(resolution,) * dim + (1,))
 

@@ -224,8 +224,7 @@ class TestBenchCommand:
     def test_csv_schema_and_single_rep_std(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--j", "1,2", "--points", "5", "--res", "4",
-                     "--reps", "1", "--d", "2", "--csv", str(out),
-                     "--single-thread"])
+                     "--reps", "1", "--d", "2", "--csv", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -248,16 +247,21 @@ class TestBenchCommand:
     @pytest.mark.parametrize("option, value", [
         ("--res", "10:4"), ("--points", "5:10:0"), ("--points", "5:10:2:3"),
         ("--points", "x"), ("--points", "5:10:-1"), ("--j", ","), ("--j", "1,x"),
-        ("--j", "3"), ("--j", "0:3")])
-    def test_bad_list_or_range_exit_1(self, option, value, capsys):
+        ("--j", "3"), ("--j", "0:3"), ("--j", "-1"), ("--points", "40,1"), ("--res", "1"),
+        ("--d", "4"), ("--d", "1"), ("--reps", "0")])
+    def test_bad_list_or_range_exit_1(self, option, value, capsys, tmp_path):
         """An empty list or range, a zero or negative step, a wrong number of
-        range parts, a non-integer or a j above --d fails before any timing,
-        naming the option."""
+        range parts, a non-integer, a j outside [0, --d], too few points for
+        the largest j, a resolution below 2, a --d other than 2 or 3 and no
+        repetition fail before any timing, naming the option, and write no
+        CSV."""
+        out = tmp_path / "bench.csv"
         code = main(["bench", "--j", "1", "--points", "5", "--res", "4", "--reps", "1",
-                     "--d", "2", option, value])
-        err = capsys.readouterr().err
+                     "--d", "2", "--csv", str(out), option, value])
+        captured = capsys.readouterr()
         assert code == 1
-        assert f"error: {option} must be" in err and "Traceback" not in err
+        assert f"error: {option} must be" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestFitCommand:
@@ -442,7 +446,7 @@ class TestMalformedInput:
         ({"max_iters": 2.7}, "max_iters"),
         ({"mres_resolutions": [8.9, 16]}, "mres_resolutions"),
         ({"resolution": "16"}, "resolution"),
-        ({"backtrack": "false"}, "backtrack"),
+        ({"mode": "simplx"}, "mode"),
         ({"filter_width": "2"}, "filter_width"),
         ({"snapshot_every": 2.5}, "snapshot_every"),
         ({"step": "1e-3"}, "step"),
@@ -486,7 +490,8 @@ class TestMalformedInput:
           "pose": {"q": [1, 0, 0, 0], "pivots": [0.5, 0.5, 0.5]}}, "pivots"),
         ({"variable": "rig", "rig": {"centers": [[0.5, 0.5]], "control": [[0.0, 0.0, 0.1]]}},
          "control"),
-    ], ids=["top level", "pose", "rig"])
+        ({"backtrack": "false"}, "backtrack"),  # a fit always backtracks
+    ], ids=["top level", "pose", "rig", "backtrack"])
     def test_unknown_fit_key_exit_1(self, tmp_path, capsys, change, key):
         """A misspelled key is an error, not a default silently kept."""
         spec = dict(_square_fit_spec(tmp_path), **change)
@@ -542,7 +547,7 @@ class TestMalformedInput:
 
 
 FIT_KEYS = ["mesh", "target_mesh", "target_raster", "resolution", "filter_width", "mode",
-            "step", "max_iters", "tol", "backtrack", "snapshot_every", "rig", "pose",
+            "step", "max_iters", "tol", "snapshot_every", "rig", "pose",
             "variable", "loss", "smooth_weight", "mres_resolutions"]
 # JSON values of every kind; numbers stay small so a fit stays at most 2 iterations
 JSON_VALUES = st.one_of(

@@ -1,3 +1,4 @@
+import sys
 from functools import partial
 
 import numpy as np
@@ -239,12 +240,14 @@ class TestBackwardMesh:
         with pytest.raises(ValueError):
             sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(grid, rng, channels=2))
 
-    def test_workers_agree_to_round_off(self, rng, monkeypatch):
-        """Backward sums per worker and adds the workers in order, so the
-        worker count moves results only by round-off (1e-12 relative),
-        one-element meshes and tetrahedra included.  A small tile budget
-        gives every case many tiles, and four CPUs are reported, so that
-        ``workers=3`` starts three threads."""
+    def test_workers_bit_identical(self, rng, monkeypatch):
+        """Backward sums per fixed lane of mode tiles and adds the lanes in
+        order, so the worker count changes no bit, one-element meshes and
+        tetrahedra included.  A small tile budget gives every case many
+        tiles (the 2D mesh more than ``_LANES``), and four CPUs are
+        reported, so that ``workers=3`` starts three threads; they write
+        disjoint lanes of shared sums, and frequent thread switches would
+        expose a lost update."""
         monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 512)
         monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
         grid2, grid3 = sr.build_grid(2, 32), sr.build_grid(3, 8)
@@ -253,14 +256,20 @@ class TestBackwardMesh:
                  (sr.backward_mesh, sr.random_mesh(2, 2, 3, rng, n_elements=1), grid2),
                  (sr.backward_auxnode,
                   sr.polygon_boundary_mesh(sr.random_convex_polygon(11, rng)), grid2)]
-        for backward, mesh, grid in cases:
-            assert len(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1]) > 2
-            cot = oracles.random_spectral_cotangent(grid, rng)
-            g1 = backward(mesh, grid, cot, workers=1)
-            for workers in (2, 3):
-                g = backward(mesh, grid, cot, workers=workers)
-                for a, b in ((g.d_vertices, g1.d_vertices), (g.d_densities, g1.d_densities)):
-                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert len(sr.nuft._tiles(11, grid2.n_modes)[1]) - 1 > sr.nuft._LANES
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for backward, mesh, grid in cases:
+                assert len(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1]) > 2
+                cot = oracles.random_spectral_cotangent(grid, rng)
+                g1 = backward(mesh, grid, cot, workers=1)
+                for workers in (2, 3):
+                    g = backward(mesh, grid, cot, workers=workers)
+                    assert np.array_equal(g.d_vertices, g1.d_vertices)
+                    assert np.array_equal(g.d_densities, g1.d_densities)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_per_mode_coefficients_match_oracle(self):
         """The batched backward read out per mode against the product-rule

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -544,6 +545,30 @@ def test_tile_plan(n_elements, n_modes, n_tiles):
     for lo, hi in zip(m_bounds[:-1], m_bounds[1:]):
         covered[lo:hi] += 1
     assert np.all(covered == 1)
+
+
+def test_each_lane_in_one_thread_in_tile_order(rng, monkeypatch):
+    """Mode tile t goes to lane t mod ``_LANES`` at every worker count, and
+    each lane's tiles reach the reduction in one thread and in tile order,
+    which is what keeps per-lane sums independent of the worker count."""
+    monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 256)
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 8)
+    mesh, grid = sr.random_mesh(2, 2, 11, rng), sr.build_grid(2, 32)
+    starts = list(sr.nuft._tiles(mesh.n_elements, grid.n_modes)[1][:-1])
+    assert len(starts) > 2 * sr.nuft._LANES
+    for workers in (1, 2, 3, 5, 8):
+        seen = []
+
+        def reduce(tiles):
+            seen.extend((threading.get_ident(), lane, modes.start)
+                        for lane, _, modes, _ in tiles)
+
+        sr.nuft._sweep(mesh, grid.wavevectors, False, False, workers, reduce)
+        assert sorted(start for *_, start in seen) == starts
+        for lane in range(sr.nuft._LANES):
+            mine = [(ident, start) for ident, tile_lane, start in seen if tile_lane == lane]
+            assert [start for _, start in mine] == starts[lane::sr.nuft._LANES]
+            assert len({ident for ident, _ in mine}) == 1
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):

@@ -102,6 +102,24 @@ class TestFit:
         assert np.array_equal(a.state, b.state)
         assert a.losses.tolist() == b.losses.tolist()
 
+    def test_pose_fit_identical_at_every_worker_count(self, monkeypatch):
+        """The backward adds fixed reduction lanes in lane order, so a fit's
+        trajectory does not depend on DDSL_WORKERS.  A small tile budget
+        gives the pose fit more mode tiles than lanes, and four CPUs are
+        reported, so that three workers start three threads."""
+        monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 64)
+        monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
+        assert len(sr.nuft._tiles(6, sr.build_grid(3, 8).n_modes)[1]) - 1 > sr.nuft._LANES
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("DDSL_WORKERS", workers)
+            runs.append(sr.fit(box_pose_problem()))
+        assert len(runs[0].trajectory) > 2
+        for run in runs[1:]:
+            assert run.losses.tolist() == runs[0].losses.tolist()
+            assert np.array_equal([p.state for p in run.trajectory],
+                                  [p.state for p in runs[0].trajectory])
+
     def test_tolerance_stop(self):
         problem = square_problem(max_iters=400, tol=1e-3)
         result = sr.fit(problem)

@@ -202,6 +202,17 @@ class TestRasterizeBackward:
             assert np.array_equal(a.d_vertices, b.d_vertices)
             assert np.array_equal(a.d_densities, b.d_densities)
 
+    def test_cotangent_channel_mismatch_rejected(self, rng):
+        """Both gradients reject a cotangent whose channel count is not the
+        mesh's, with the same message: one channel is not broadcast."""
+        mesh = sr.random_mesh(2, 2, 6, rng, channels=3)
+        cfg = sr.RasterizeConfig(resolution=8)
+        for call in (sr.rasterize_backward, sr.finite_difference_gradient):
+            for channels in (1, 2):
+                with pytest.raises(ValueError, match=f"cotangent has {channels} channels, "
+                                                     "mesh has 3"):
+                    call(mesh, cfg, np.ones((8, 8, channels)))
+
     def test_zero_cotangent(self, rng):
         mesh = sr.random_mesh(2, 2, 6, rng)
         cfg = sr.RasterizeConfig(resolution=8)
