@@ -79,7 +79,23 @@ def cmd_rasterize(args) -> int:
     return EXIT_OK
 
 
+def _check_mesh_options(d, j_list, points_list, res_list) -> None:
+    """Checks of the random-mesh options of ``gradcheck`` and ``bench``,
+    made before any work: each failure names its option."""
+    if d not in (2, 3):
+        raise ValueError(f"--d must be 2 or 3, got {d}")
+    bad = [j for j in j_list if not 0 <= j <= d]
+    if bad:
+        raise ValueError(f"--j must be in [0, --d] = [0, {d}], got {bad[0]}")
+    if min(points_list) < max(j_list) + 1:
+        raise ValueError(f"--points must be at least max(--j) + 1 = {max(j_list) + 1}, "
+                         f"got {min(points_list)}")
+    if min(res_list) < 2:
+        raise ValueError(f"--res must be at least 2, got {min(res_list)}")
+
+
 def cmd_gradcheck(args) -> int:
+    _check_mesh_options(args.d, [args.j], [args.points], [args.res])
     if not args.tol >= 0:  # a NaN tolerance would fail every check
         raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
@@ -138,15 +154,7 @@ def _time_call(fn, reps: int) -> tuple[float, float]:
 
 def run_bench(j_list, points_list, res_list, reps, d=3, seed=0) -> list[BenchRecord]:
     """Time both backward passes at DDSL_WORKERS; every option is checked first."""
-    if d not in (2, 3):
-        raise ValueError(f"--d must be 2 or 3, got {d}")
-    if min(j_list) < 0 or max(j_list) > d:
-        raise ValueError(f"--j must be in [0, --d] = [0, {d}], got {j_list}")
-    if min(points_list) < max(j_list) + 1:
-        raise ValueError(f"--points must be at least max(--j) + 1 = {max(j_list) + 1}, "
-                         f"got {min(points_list)}")
-    if min(res_list) < 2:
-        raise ValueError(f"--res must be at least 2, got {min(res_list)}")
+    _check_mesh_options(d, j_list, points_list, res_list)
     if reps < 1:
         raise ValueError(f"--reps must be at least 1, got {reps}")
     rng = np.random.default_rng(seed)

@@ -10,8 +10,9 @@ phase multiset, which this module exploits for numerical stability: the
 explicit Lagrange-form sum is used when the phases are well separated, and
 a confluent divided-difference table (local Taylor series around phase
 clusters plus the standard recurrence across them) takes over when phases
-collide.  Phase collisions are not exotic: every mesh hits one at the DC
-mode, and axis-aligned geometry hits them on whole mode rows.
+collide; the backward has a closed form for one exact tie among wide gaps.
+Phase collisions are not exotic: every mesh hits one at the DC mode, and
+axis-aligned geometry hits them on whole mode rows.
 """
 
 from __future__ import annotations
@@ -164,6 +165,45 @@ def _dd_table(z: np.ndarray, slots: bool):
     return kernel, out
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_plan(n: int) -> tuple:
+    """The node pairs (t, l), t < l, of n nodes in gap order, and per pair a
+    node order that puts t and l first and the other nodes after them."""
+    pairs = [(t, l) for t in range(n) for l in range(t + 1, n)]
+    orders = [[t, l] + [m for m in range(n) if m not in (t, l)] for t, l in pairs]
+    return pairs, np.array(orders, dtype=np.intp)
+
+
+def _tie_form(y: np.ndarray):
+    """Kernel (rows,) and slots (n, rows) of phase rows y (n, rows) whose
+    nodes 0 and 1 tie at a, the others x_j distinct and every other gap past
+    ``_SERIES_SPAN``.  A distinct node of multiplicity m adds h, h L1 or
+    h (L1^2 + sum m_o / (node - o)^2) / 2 for m = 1, 2, 3, where h is
+    exp(-i node) / prod (node - o)^m_o and L1 = -i - sum m_o / (node - o)
+    over the other nodes o.  The kernel has a double at a; the tie's slot
+    (both positions) a triple; the slot of x_p doubles at a and x_p."""
+    a, x = y[0], y[2:]
+    f = np.exp(-1j * y[1:])
+    inv = 1.0 / (a - x)
+    h_a = f[0] * np.prod(inv, axis=0)
+    l1 = -1j - inv.sum(axis=0)
+    h = f[1:] * inv * inv  # f_j / (x_j - a)^2, then over prod_{m != j} (x_j - x_m)
+    l1x = 2.0 * inv - 1j  # L1 of x_j doubled, then minus sum_{m != j} 1 / (x_j - x_m)
+    pairs = [(j, m, 1.0 / (x[j] - x[m])) for j, m in _pair_plan(len(x))[0]]
+    for j, m, r in pairs:
+        h[j] *= r
+        h[m] *= -r
+        l1x[j] -= r
+        l1x[m] += r
+    slots = np.empty(y.shape, dtype=np.complex128)
+    slots[0] = slots[1] = 0.5 * h_a * (l1 * l1 + (inv * inv).sum(axis=0)) - (h * inv).sum(axis=0)
+    slots[2:] = h_a * inv * (l1 - inv) + h * l1x
+    for j, m, r in pairs:  # the single x_m over (x_m - x_j) in slot j
+        slots[2 + j] -= h[m] * r
+        slots[2 + m] += h[j] * r
+    return h_a * l1 + h.sum(axis=0), slots
+
+
 def _kernel(sig: np.ndarray, slots: bool, table):
     """Kernel S of node-major phase slices sig (n, ...), stability-routed;
     with ``slots`` also the derivative coefficient per node slot (n, ...).
@@ -175,10 +215,13 @@ def _kernel(sig: np.ndarray, slots: bool, table):
     derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each
     gap adds u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
     Unsafe rows, and with ``slots`` the risky rows the derivative's extra
-    1/gap would spoil, take one table each (``_dd_table``): it patches the
-    unsafe kernels and every risky slot.  Returns s, or (s, coefs).
+    1/gap would spoil, leave this form.  With ``slots``, those with one
+    zero gap and every other gap past ``_SERIES_SPAN`` (a single exact tie)
+    take ``_tie_form``; the others take one table each (``_dd_table``),
+    which patches the unsafe kernels and every slot.  Returns s, or (s, coefs).
     """
-    pairs = list(zip(*np.triu_indices(sig.shape[0], 1)))
+    n = sig.shape[0]
+    pairs, orders = _pair_plan(n)
     gaps = np.empty((len(pairs),) + sig.shape[1:])
     prod = np.ones(sig.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -191,9 +234,9 @@ def _kernel(sig: np.ndarray, slots: bool, table):
         amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
         terms = table[0][table[1]] / prod
         del prod
-        s = terms.sum(axis=0)
+        s = np.ascontiguousarray(terms.sum(axis=0))
         if slots:
-            coefs = -1j * terms
+            coefs = np.multiply(-1j, terms, order="C")
             for q, (t, l) in enumerate(pairs):
                 u = terms[t] + terms[l]
                 u *= 1.0 / gaps[q]
@@ -205,13 +248,26 @@ def _kernel(sig: np.ndarray, slots: bool, table):
         # amp * (1 + 2/gap) >= cap, rearranged so exact collisions do not overflow
         gap = np.minimum(np.maximum(min_gap, 1e-300), 1e6)
         risky = unsafe | (amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
-    if risky.any():
-        kernel = _dd_table(sig[:, risky].T, slots)
+    # flat row indices; s and coefs are C-ordered, so their flat views write through
+    rows, sig = np.flatnonzero(risky), sig.reshape(n, -1)
+    if slots and rows.size:
+        g = np.abs(gaps.reshape(len(pairs), -1)[:, rows])
+        tie = ((min_gap.reshape(-1)[rows] == 0.0)
+               & (np.count_nonzero(g > _SERIES_SPAN, axis=0) == len(pairs) - 1))
+        if tie.any():
+            ties = rows[tie]
+            order = orders[g[:, tie].argmin(axis=0)].T  # (n, ties): the tied pair first
+            kernel, slot = _tie_form(sig[order, ties])
+            s.reshape(-1)[ties] = kernel
+            coefs.reshape(n, -1)[order, ties] = slot
+            rows = rows[~tie]
+    if rows.size:
+        kernel = _dd_table(sig[:, rows].T, slots)
         if slots:
             kernel, slot = kernel
-            coefs[:, risky] = slot.T
-        if unsafe.any():
-            s[unsafe] = kernel[unsafe[risky]]
+            coefs.reshape(n, -1)[:, rows] = slot.T
+        patch = unsafe.reshape(-1)[rows]
+        s.reshape(-1)[rows[patch]] = kernel[patch]
     return (s, coefs) if slots else s
 
 

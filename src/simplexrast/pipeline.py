@@ -11,6 +11,7 @@ for non-convex shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -110,13 +111,18 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
 # ---------------------------------------------------------------------------
 # every raster term from one spectrum at the finest resolution
 
-def _fine_rows(grid: SpectralGrid, fine: SpectralGrid):
-    """Row of each of ``grid``'s modes in ``fine``, a grid at least as fine:
-    a full-axis frequency m sits at index m mod R_f, a last-axis one at
-    itself.  Every row, in order, when ``grid`` is ``fine``."""
-    if grid is fine:
+@functools.lru_cache(maxsize=64)
+def _fine_rows(dim: int, resolution: int, fine_resolution: int):
+    """Row of each mode of the grid at ``resolution`` in the one at
+    ``fine_resolution``, no coarser: a full-axis frequency m sits at index
+    m mod R_f, a last-axis one at itself.  Every row at equal resolutions;
+    read-only, since cached."""
+    if resolution == fine_resolution:
         return slice(None)
-    return np.ravel_multi_index(tuple((grid.modes % fine.resolution).T), fine.half_shape)
+    modes = build_grid(dim, resolution).modes % fine_resolution
+    rows = np.ravel_multi_index(tuple(modes.T), build_grid(dim, fine_resolution).half_shape)
+    rows.flags.writeable = False
+    return rows
 
 
 def _rasters(mesh: SimplexMesh, config: RasterizeConfig, resolutions) -> list:
@@ -136,7 +142,7 @@ def _rasters(mesh: SimplexMesh, config: RasterizeConfig, resolutions) -> list:
     coeffs = forward(mesh, fine).coeffs
     rasters = []
     for grid in grids:
-        field = SpectralField(grid, coeffs[_fine_rows(grid, fine)])
+        field = SpectralField(grid, coeffs[_fine_rows(mesh.dim, grid.resolution, fine.resolution)])
         field = apply_filter(field, gaussian_filter(grid, config.filter_width))
         rasters.append(inverse_transform(field))
     return rasters
@@ -161,7 +167,7 @@ def _fine_cotangent(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
     for grid, field in zip(grids, fields):
         if field.channels != mesh.channels:
             raise ValueError(f"cotangent has {field.channels} channels, mesh has {mesh.channels}")
-        rows = _fine_rows(grid, fine)  # distinct within one grid
+        rows = _fine_rows(mesh.dim, grid.resolution, fine.resolution)  # distinct within one grid
         cot[rows] += field.coeffs * (grid.fold_weights / fine.fold_weights[rows])[:, None]
     return fine, SpectralField(fine, cot)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexrast as sr
+from simplexrast import cli
 from simplexrast.cli import (
     BENCH_CSV_HEADER,
     EXIT_DIVERGED,
@@ -210,6 +211,20 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--j", "1", "--d", "2", "--points", "6",
                      "--res", "4", arg]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, option", [
+        (["--j", "-1"], "--j"), (["--j", "3"], "--j"), (["--points", "2"], "--points"),
+        (["--res", "1"], "--res"), (["--d", "4"], "--d"), (["--d", "1"], "--d")])
+    def test_bad_mesh_option_exit_1(self, args, option, capsys, monkeypatch):
+        """A --d other than 2 or 3, a --j outside [0, --d], too few points for
+        --j and a resolution below 2 fail before any mesh is built (exit 1),
+        naming the option."""
+        monkeypatch.setattr(cli, "random_mesh", None)
+        assert main(["gradcheck", "--j", "2", "--d", "2", "--points", "6", "--res", "4",
+                     *args]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {option} must be" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_deterministic_given_seed(self, capsys):
         main(["gradcheck", "--j", "1", "--d", "2", "--points", "6", "--res", "4",

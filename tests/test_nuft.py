@@ -1,3 +1,4 @@
+import itertools
 import threading
 import tracemalloc
 
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simplexrast as sr
-from simplexrast.nuft import _DS_AMP_MAX, _dd_table, _kernel, _table_plan
+from simplexrast import nuft
+from simplexrast.nuft import _DS_AMP_MAX, _SERIES_SPAN, _dd_table, _kernel, _table_plan
 import oracles
 from conftest import mp_confluent_diff, mp_divided_diff
 
@@ -125,6 +127,44 @@ def risky_rows(z):
     return lk.unsafe, lk.unsafe | (lk.amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
 
 
+def single_ties(z):
+    """The rows of z (rows, n) with exactly one zero gap and every other gap
+    past ``_SERIES_SPAN``: the backward's closed confluent form takes them
+    when they are risky (oracle rule)."""
+    i, j = np.triu_indices(z.shape[1], 1)
+    g = np.abs(z[:, i] - z[:, j])
+    return ((g == 0).sum(axis=1) == 1) & ((g > _SERIES_SPAN) | (g == 0)).all(axis=1)
+
+
+def high_precision_errors(z, s, coefs):
+    """Largest error of the kernels s (rows,) and of the slots coefs
+    (rows, n) of phase rows z against the 60-digit divided differences."""
+    kernel = slot = 0.0
+    for row, k, c in zip(z, s, coefs):
+        kernel = max(kernel, abs(k - mp_confluent_diff(row)))
+        for p in range(len(row)):
+            slot = max(slot, abs(c[p] - mp_confluent_diff(np.append(row, row[p]))))
+    return kernel, slot
+
+
+def kuhn_lattice_mesh(cells):
+    """Axis-aligned cube lattice in [0.1, 0.9]^3, each cube cut into its 6
+    Kuhn tetrahedra, with seeded densities."""
+    axis = np.linspace(0.1, 0.9, cells + 1)
+    vertices = np.array(list(itertools.product(axis, repeat=3)))
+    tets = []
+    for corner in itertools.product(range(cells), repeat=3):
+        for order in itertools.permutations(range(3)):
+            c = list(corner)
+            tet = [np.ravel_multi_index(c, (cells + 1,) * 3)]
+            for step in order:
+                c[step] += 1
+                tet.append(np.ravel_multi_index(c, (cells + 1,) * 3))
+            tets.append(tet)
+    densities = np.random.default_rng(3).uniform(0.5, 1.5, len(tets))
+    return sr.SimplexMesh(3, 3, vertices, np.array(tets), densities)
+
+
 class TestSharedTable:
     """One sorted table per row serves the kernel and every derivative slot."""
 
@@ -135,7 +175,10 @@ class TestSharedTable:
         assert (entries(False), entries(True)) == (kernel_only, with_slots)
 
     def test_matches_reference_tables_bit_for_bit(self):
+        """Every row the tables serve matches the reference tables bit for
+        bit; the backward's single ties match the 60-digit reference."""
         rng = np.random.default_rng(20261018)
+        tied = 0
         for batch in range(48):
             n = 1 + batch % 4
             z = confluent_rows(rng, n)
@@ -146,12 +189,56 @@ class TestSharedTable:
             assert np.array_equal(kernel, ref)
             assert np.array_equal(slots, ref_slots)
             unsafe, risky = risky_rows(z)
+            tie = risky & single_ties(z)
             s, coefs = oracles.direct_kernel(z.T, True)
-            assert np.array_equal(coefs.T[risky], ref_slots[risky])
-            assert np.array_equal(s[unsafe], ref[unsafe])
+            assert np.array_equal(coefs.T[risky & ~tie], ref_slots[risky & ~tie])
+            assert np.array_equal(s[unsafe & ~tie], ref[unsafe & ~tie])
+            assert max(high_precision_errors(z[tie], s[tie], coefs.T[tie])) <= 1e-12
+            tied += tie.sum()
             s = oracles.direct_kernel(z.T, False)  # the forward routing
             assert np.array_equal(s[unsafe], ref[unsafe])
             assert np.array_equal(s[~unsafe], oracles.lagrange_terms(z).s[~unsafe])
+        assert tied > 1000
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_tie_census(self, n, monkeypatch):
+        """Rows with one exact tie and the other gaps drawn down to just past
+        ``_SERIES_SPAN``, phases up to +-100: the closed form is within
+        1e-12 of the 60-digit reference and no worse than the table."""
+        rng = np.random.default_rng(20261020 + n)
+        rows = 200
+        gaps = _SERIES_SPAN + 10.0 ** rng.uniform(-9, 0.3, (rows, n - 2))
+        distinct = rng.uniform(-100, 100, (rows, 1)) + np.concatenate(
+            [np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)
+        z = rng.permuted(np.concatenate([distinct, distinct[:, :1]], axis=1), axis=1)
+        assert single_ties(z).all()
+        table = high_precision_errors(z, *_dd_table(z, True))
+        monkeypatch.setattr(nuft, "_dd_table", None)  # every row takes the closed form
+        s, coefs = oracles.direct_kernel(z.T, True)
+        form = high_precision_errors(z, s, coefs.T)
+        assert max(form) <= 1e-12
+        assert form[0] <= table[0] and form[1] <= table[1]
+
+    def test_tables_take_no_single_tie_of_the_backward(self, monkeypatch):
+        """On a Kuhn lattice the forward sends its single ties to the table,
+        the backward none of them, and the other confluent rows to both."""
+        received = []
+
+        def recording(z, slots):
+            received.append((slots, z))
+            return _dd_table(z, slots)
+
+        mesh = kuhn_lattice_mesh(1)
+        grid = sr.build_grid(3, 16)
+        cot = sr.SpectralField(grid, np.random.default_rng(4).standard_normal((grid.n_modes, 1)))
+        monkeypatch.setattr(nuft, "_dd_table", recording)
+        sr.forward_mesh(mesh, grid, workers=1)
+        sr.backward_mesh(mesh, grid, cot, workers=1)
+        forward = np.concatenate([z for slots, z in received if not slots])
+        backward = np.concatenate([z for slots, z in received if slots])
+        assert single_ties(forward).sum() > 1000
+        assert not single_ties(backward).any()
+        assert len(backward) > 100
 
     def test_vertex_table_matches_direct_exps_bit_for_bit(self):
         """Exps gathered from a table of per-vertex phases give the same bits
@@ -174,14 +261,14 @@ class TestSharedTable:
         # phases of Kuhn-lattice tetrahedra at integer modes: exact pairs,
         # triples and near-pairs, as axis-aligned geometry produces them
         x = np.array([[0.1, 0.1, 0.1], [0.5, 0.1, 0.1], [0.5, 0.5, 0.1], [0.5, 0.5, 0.5]])
-        modes = [(0, 0, 0), (1, 0, 0), (0, 3, 0), (2, -1, 0), (0, 0, 5), (4, 4, -7), (1, 1, 1)]
+        modes = [(0, 0, 0), (1, 0, 0), (0, 3, 0), (2, -1, 0), (0, 0, 5), (4, 4, -7), (1, 1, 1),
+                 (1, 0, 1), (0, 2, 1)]
         z = np.array([x @ (TWO_PI * np.array(m, float)) for m in modes])
         z = np.vstack([z, z + [0.0, 0.0, 1e-9, 0.0]])
-        kernel, slots = _dd_table(z, True)
-        for row, k, sl in zip(z, kernel, slots):
-            assert abs(k - mp_confluent_diff(row)) < 1e-12
-            for p in range(len(row)):
-                assert abs(sl[p] - mp_confluent_diff(np.append(row, row[p]))) < 1e-12
+        s, coefs = oracles.direct_kernel(z.T, True)
+        assert single_ties(z).sum() == 4
+        for kernel, slots in (_dd_table(z, True), (s, coefs.T)):
+            assert max(high_precision_errors(z, kernel, slots)) < 1e-12
 
 
 class TestForwardElement:

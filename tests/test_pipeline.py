@@ -333,6 +333,16 @@ class TestFineSpectrum:
         assert np.abs(expected).max() > 0
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("dim, resolution, fine", [(2, 16, 64), (2, 15, 32), (3, 4, 9)])
+    def test_fine_rows_hold_the_same_modes(self, dim, resolution, fine):
+        """The cached rows pick each coarse mode out of the fine grid, once
+        per size, and callers cannot write to them."""
+        rows = sr.pipeline._fine_rows(dim, resolution, fine)
+        assert rows is sr.pipeline._fine_rows(dim, resolution, fine)
+        assert not rows.flags.writeable
+        assert np.array_equal(sr.build_grid(dim, fine).modes[rows],
+                              sr.build_grid(dim, resolution).modes)
+
     def test_strict_rule_in_both_passes(self):
         open_loop = STRICT_PROBES["open auxnode boundary"][0]
         cfg = sr.RasterizeConfig(4, mode="auxnode", strict=True)
