@@ -56,6 +56,7 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     dd = np.zeros((_LANES, n_e, mesh.channels), dtype=np.complex128)
 
     def reduce(tiles):  # each lane is written by one thread only
+        # coefs is the thread's reused buffer: used up here before the next tile
         for lane, elems, modes, (s, coefs) in tiles:
             ghat = dens[elems] @ wcot[modes].T
             a[lane, elems] += np.einsum("em,em->e", ghat, s)

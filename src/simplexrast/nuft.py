@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -76,6 +77,38 @@ def _thread_count(workers, lanes: int) -> int:
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")
     return min(workers, lanes, os.cpu_count() or 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor of ``workers`` threads: started on first use,
+    idle between calls."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="simplexrast")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads, and a task queued on
+    # the parent's executor would wait for them forever
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+_workspace = threading.local()
+
+
+def _fresh(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A new array for ``_kernel``'s buffer ``name``."""
+    return np.empty(shape, dtype)
+
+
+def _reused(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's buffer ``name`` as an array of ``shape``, grown when a
+    larger tile arrives and kept across tiles and calls: its contents last
+    until the thread next asks for ``name``."""
+    size = math.prod(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +207,16 @@ def _pair_plan(n: int) -> tuple:
     return pairs, np.array(orders, dtype=np.intp)
 
 
-def _tie_form(y: np.ndarray):
+def _tie_form(y: np.ndarray, f: np.ndarray):
     """Kernel (rows,) and slots (n, rows) of phase rows y (n, rows) whose
     nodes 0 and 1 tie at a, the others x_j distinct and every other gap past
-    ``_SERIES_SPAN``.  A distinct node of multiplicity m adds h, h L1 or
-    h (L1^2 + sum m_o / (node - o)^2) / 2 for m = 1, 2, 3, where h is
-    exp(-i node) / prod (node - o)^m_o and L1 = -i - sum m_o / (node - o)
-    over the other nodes o.  The kernel has a double at a; the tie's slot
-    (both positions) a triple; the slot of x_p doubles at a and x_p."""
+    ``_SERIES_SPAN``; f (n-1, rows) holds exp(-i y[1:]).  A distinct node of
+    multiplicity m adds h, h L1 or h (L1^2 + sum m_o / (node - o)^2) / 2 for
+    m = 1, 2, 3, where h is exp(-i node) / prod (node - o)^m_o and
+    L1 = -i - sum m_o / (node - o) over the other nodes o.  The kernel has a
+    double at a; the tie's slot (both positions) a triple; the slot of x_p
+    doubles at a and x_p."""
     a, x = y[0], y[2:]
-    f = np.exp(-1j * y[1:])
     inv = 1.0 / (a - x)
     h_a = f[0] * np.prod(inv, axis=0)
     l1 = -1j - inv.sum(axis=0)
@@ -204,7 +237,7 @@ def _tie_form(y: np.ndarray):
     return h_a * l1 + h.sum(axis=0), slots
 
 
-def _kernel(sig: np.ndarray, slots: bool, table):
+def _kernel(sig: np.ndarray, slots: bool, table, buffer=_fresh):
     """Kernel S of node-major phase slices sig (n, ...), stability-routed;
     with ``slots`` also the derivative coefficient per node slot (n, ...).
 
@@ -214,16 +247,20 @@ def _kernel(sig: np.ndarray, slots: bool, table):
     vertex: ``ev[inv]`` equals ``exp(-1j * sig)``.  The slot-p
     derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each
     gap adds u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
-    Unsafe rows, and with ``slots`` the risky rows the derivative's extra
-    1/gap would spoil, leave this form.  With ``slots``, those with one
-    zero gap and every other gap past ``_SERIES_SPAN`` (a single exact tie)
-    take ``_tie_form``; the others take one table each (``_dd_table``),
-    which patches the unsafe kernels and every slot.  Returns s, or (s, coefs).
+    The gaps, the denominators and ``coefs`` go into ``buffer(name, shape,
+    dtype)``: new arrays, unless the sweep passes its reused ones.  Unsafe
+    rows, and with ``slots`` the risky rows the derivative's extra 1/gap
+    would spoil, leave this form.  With ``slots``, those with one zero gap
+    and every other gap past ``_SERIES_SPAN`` (a single exact tie) take
+    ``_tie_form``, their exps gathered from ``table``; the others take one
+    table each (``_dd_table``), which patches the unsafe kernels and every
+    slot.  Returns s, or (s, coefs).
     """
     n = sig.shape[0]
     pairs, orders = _pair_plan(n)
-    gaps = np.empty((len(pairs),) + sig.shape[1:])
-    prod = np.ones(sig.shape)
+    gaps = buffer("gaps", (len(pairs),) + sig.shape[1:])
+    prod = buffer("prod", sig.shape)
+    prod.fill(1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for q, (t, l) in enumerate(pairs):
             g = np.subtract(sig[t], sig[l], out=gaps[q])
@@ -236,7 +273,7 @@ def _kernel(sig: np.ndarray, slots: bool, table):
         del prod
         s = np.ascontiguousarray(terms.sum(axis=0))
         if slots:
-            coefs = np.multiply(-1j, terms, order="C")
+            coefs = np.multiply(-1j, terms, out=buffer("coefs", terms.shape, np.complex128))
             for q, (t, l) in enumerate(pairs):
                 u = terms[t] + terms[l]
                 u *= 1.0 / gaps[q]
@@ -249,7 +286,7 @@ def _kernel(sig: np.ndarray, slots: bool, table):
         gap = np.minimum(np.maximum(min_gap, 1e-300), 1e6)
         risky = unsafe | (amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
     # flat row indices; s and coefs are C-ordered, so their flat views write through
-    rows, sig = np.flatnonzero(risky), sig.reshape(n, -1)
+    rows, shape, sig = np.flatnonzero(risky), sig.shape, sig.reshape(n, -1)
     if slots and rows.size:
         g = np.abs(gaps.reshape(len(pairs), -1)[:, rows])
         tie = ((min_gap.reshape(-1)[rows] == 0.0)
@@ -257,7 +294,13 @@ def _kernel(sig: np.ndarray, slots: bool, table):
         if tie.any():
             ties = rows[tie]
             order = orders[g[:, tie].argmin(axis=0)].T  # (n, ties): the tied pair first
-            kernel, slot = _tie_form(sig[order, ties])
+            # the tie rows' exps from the table: vert is each node's table row,
+            # indexed by the leading row axes the index spans (none for a slice)
+            ev, vert = table[0], np.arange(len(table[0]))[table[1]]
+            at = np.unravel_index(ties, shape[1:])
+            lead = vert.ndim - 1
+            exps = ev[(vert[(order[1:],) + at[:lead]],) + at[lead:]]
+            kernel, slot = _tie_form(sig[order, ties], exps)
             s.reshape(-1)[ties] = kernel
             coefs.reshape(n, -1)[order, ties] = slot
             rows = rows[~tie]
@@ -333,6 +376,10 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
     span, mode span, kernel).  Mode tile t is in lane t mod ``_LANES``, and
     thread w of W runs the tiles of the lanes congruent to w mod W in tile
     order, so each lane's tiles come in one thread and one order whatever W.
+    The threads are the persistent ``_pool(W)``, or the caller's alone at
+    W = 1.  Each thread builds its tiles in its own reused buffers
+    (``_reused``), so a kernel's ``coefs`` hold until the generator resumes:
+    ``reduce`` must be done with a tile before it asks for the next.
     """
     n_elements, n_nodes = mesh.elements.shape
     e_bounds, m_bounds = _tiles(n_elements, len(wavevectors))
@@ -354,18 +401,20 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
             k = wavevectors[modes].T
             for elems, verts, inv in blocks:
                 # phases k . x per used vertex, below the auxiliary origin's zero
-                # row; built and exponentiated in place, since every extra tile
-                # temporary can cost freshly faulted pages on each call
-                sv = np.empty((len(verts) + auxnode, k.shape[1]))
+                # row, and their exps, in this thread's buffers
+                sv = _reused("sv", (len(verts) + auxnode, k.shape[1]))
                 sv[:auxnode] = 0.0
                 np.matmul(verts, k, out=sv[auxnode:])
-                ev = np.multiply(sv, -1j)
-                yield t % _LANES, elems, modes, _kernel(sv[inv], slots, (np.exp(ev, out=ev), inv))
+                ev = np.multiply(sv, -1j, out=_reused("ev", sv.shape, np.complex128))
+                table = (np.exp(ev, out=ev), inv)
+                yield t % _LANES, elems, modes, _kernel(sv[inv], slots, table, _reused)
 
     if workers == 1:
         return reduce(tiles(0))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda w: reduce(tiles(w)), range(workers)))
+    futures = [_pool(workers).submit(reduce, tiles(w)) for w in range(workers)]
+    wait(futures)  # no thread still writes the caller's sums when one raises
+    for future in futures:
+        future.result()
 
 
 def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:

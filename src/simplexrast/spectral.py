@@ -130,11 +130,19 @@ def _filter_width(width) -> float:
 
 
 def gaussian_filter(grid: SpectralGrid, width_cells: float) -> np.ndarray:
-    """Low-pass gain per mode, exp(-2 pi^2 g^2 |m|^2 / R^2); unit gain at DC."""
-    width_cells = _filter_width(width_cells)
-    m2 = np.einsum("md,md->m", grid.modes, grid.modes).astype(np.float64)
+    """Low-pass gain per mode, exp(-2 pi^2 g^2 |m|^2 / R^2); unit gain at DC.
+    The gains are read-only: one array serves every call of the same sizes."""
+    return _gains(grid.dim, grid.resolution, _filter_width(width_cells))
+
+
+@functools.lru_cache(maxsize=64)
+def _gains(dim: int, resolution: int, width_cells: float) -> np.ndarray:
+    modes = build_grid(dim, resolution).modes
+    m2 = np.einsum("md,md->m", modes, modes).astype(np.float64)
     with np.errstate(over="ignore"):  # a huge width sends the non-DC gains to exactly 0
-        return np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / grid.resolution ** 2)
+        gains = np.exp(-2.0 * np.pi ** 2 * width_cells ** 2 * m2 / resolution ** 2)
+    gains.flags.writeable = False
+    return gains
 
 
 def apply_filter(f: SpectralField, gains: np.ndarray) -> SpectralField:

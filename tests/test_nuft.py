@@ -1,6 +1,10 @@
+import functools
 import itertools
+import multiprocessing
+import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -667,3 +671,141 @@ def test_thread_count_clamped_to_cpus(monkeypatch):
     assert sr.nuft._thread_count(None, 3) == 3
     monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: None)
     assert sr.nuft._thread_count(None, 10**6) == 1
+
+
+def _pass_bytes(mesh, config, cot):
+    """The bytes of one raster and one gradient of ``mesh``."""
+    raster = sr.rasterize(mesh, config)
+    grad = sr.rasterize_backward(mesh, config, cot)
+    return raster.values.tobytes() + grad.d_vertices.tobytes() + grad.d_densities.tobytes()
+
+
+def _forked_passes(conn, mesh, config, cot):
+    conn.send_bytes(_pass_bytes(mesh, config, cot))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_forked_child_starts_its_own_threads(monkeypatch):
+    """A child forked after a threaded call has none of the parent's pool
+    threads; its own 2-worker forward and backward must finish and give the
+    parent's bytes, not wait forever on the parent's executor."""
+    monkeypatch.setenv("DDSL_WORKERS", "2")
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(7)
+    mesh = sr.random_mesh(2, 2, 30, rng)
+    config = sr.RasterizeConfig(resolution=32)
+    cot = rng.standard_normal((32, 32, 1))
+    monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 1024)
+    assert len(sr.nuft._tiles(mesh.n_elements, sr.build_grid(2, 32).n_modes)[1]) > 2
+    expected = _pass_bytes(mesh, config, cot)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_passes, args=(send, mesh, config, cot))
+    with warnings.catch_warnings():  # forking a threaded process is the point here
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child's threaded passes did not finish"
+        got = receive.recv_bytes()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        receive.close()
+    assert child.exitcode == 0
+    assert got == expected
+
+
+def test_interleaved_calls_bit_identical(monkeypatch):
+    """Each thread reuses its tile buffers across calls, so calls of other
+    dimensions, degrees, sizes, transforms and passes, run in between at 1,
+    2 and 3 workers, must not change a bit of any result against the same
+    call made on fresh buffers."""
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 512)
+    rng = np.random.default_rng(11)
+    grid2, grid3 = sr.build_grid(2, 16), sr.build_grid(3, 8)
+    boundary = sr.polygon_boundary_mesh(sr.random_convex_polygon(9, rng))
+    cases = [(grid2, sr.random_mesh(2, 2, 12, rng), False),
+             (grid2, sr.random_mesh(1, 2, 7, rng, channels=2), False),
+             (grid2, sr.random_mesh(2, 2, 700, rng, n_elements=600), False),  # element blocks
+             (grid3, sr.random_mesh(3, 3, 9, rng), False),
+             (grid3, kuhn_lattice_mesh(1), False),  # single ties in the backward
+             (grid3, sr.random_mesh(2, 3, 6, rng), False),
+             (grid2, boundary, True)]
+
+    def forward(auxnode, mesh, grid, workers):
+        return (sr.forward_auxnode if auxnode else sr.forward_mesh)(mesh, grid, workers).coeffs
+
+    def backward(auxnode, mesh, grid, cot, workers):
+        g = (sr.backward_auxnode if auxnode else sr.backward_mesh)(mesh, grid, cot, workers)
+        return np.concatenate([g.d_vertices.ravel(), g.d_densities.ravel()])
+
+    calls = []
+    for grid, mesh, auxnode in cases:
+        cot = oracles.random_spectral_cotangent(grid, rng, channels=mesh.channels)
+        calls += [functools.partial(forward, auxnode, mesh, grid),
+                  functools.partial(backward, auxnode, mesh, grid, cot)]
+    assert len(sr.nuft._tiles(600, grid2.n_modes)[0]) > 2
+    reference = []
+    for call in calls:
+        monkeypatch.setattr(sr.nuft, "_workspace", threading.local())  # fresh buffers
+        reference.append(call(1))
+    monkeypatch.setattr(sr.nuft, "_workspace", threading.local())
+    runs = [(i, w) for i in range(len(calls)) for w in (1, 2, 3)]
+    for i, workers in (runs[j] for j in rng.permutation(len(runs))):
+        assert np.array_equal(calls[i](workers), reference[i]), (i, workers)
+
+
+def test_direct_kernel_results_are_not_reused(rng):
+    """A direct ``_kernel`` call returns new arrays: neither a second direct
+    call nor a sweep in the same thread changes what the first returned."""
+    z = confluent_rows(rng, 4)
+    s, coefs = oracles.direct_kernel(z.T, True)
+    kept = s.copy(), coefs.copy()
+    oracles.direct_kernel(confluent_rows(rng, 4).T, True)
+    oracles.direct_kernel(rng.uniform(-50, 50, (3, 20, 30)), True)
+    mesh, grid = sr.random_mesh(3, 3, 9, rng), sr.build_grid(3, 8)
+    sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(grid, rng), workers=1)
+    assert np.array_equal(s, kept[0]) and np.array_equal(coefs, kept[1])
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    """Two caller threads run 2-worker backward passes on different meshes
+    at once, four threads' work on two CPUs' worth of pool: they must not
+    deadlock, and their bytes must equal those of sequential calls."""
+    monkeypatch.setenv("DDSL_WORKERS", "2")
+    monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 1024)
+    rng = np.random.default_rng(13)
+    config = sr.RasterizeConfig(resolution=16)
+    jobs = [(sr.random_mesh(2, 2, 40, rng), rng.standard_normal((16, 16, 1))),
+            (sr.random_mesh(1, 2, 25, rng, channels=2), rng.standard_normal((16, 16, 2)))]
+
+    def run(mesh, cot):
+        g = sr.rasterize_backward(mesh, config, cot)
+        return g.d_vertices.tobytes() + g.d_densities.tobytes()
+
+    expected = [run(*job) for job in jobs]
+    results = [[] for _ in jobs]
+
+    def caller(i):
+        for _ in range(4):
+            results[i].append(run(*jobs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "concurrent callers deadlocked"
+    assert results == [[b] * 4 for b in expected]

@@ -85,6 +85,16 @@ class TestGaussianFilter:
         with pytest.raises(ValueError, match="filter_width"):
             sr.gaussian_filter(sr.build_grid(2, 8), width)
 
+    def test_gains_cached_read_only(self):
+        """One read-only array serves every call of the same sizes and width,
+        equal bit for bit to the formula."""
+        grid = sr.build_grid(3, 8)
+        gains = sr.gaussian_filter(grid, 1.5)
+        assert sr.gaussian_filter(sr.SpectralGrid(3, 8, grid.modes.copy()), 1.5) is gains
+        assert not gains.flags.writeable
+        m2 = np.einsum("md,md->m", grid.modes, grid.modes).astype(np.float64)
+        assert np.array_equal(gains, np.exp(-2.0 * np.pi ** 2 * 1.5 ** 2 * m2 / 8 ** 2))
+
     def test_huge_width_keeps_only_dc(self):
         grid = sr.build_grid(2, 8)
         gains = sr.gaussian_filter(grid, 1e153)  # the exponent overflows to -inf
