@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .deform import (
     ControlRig,
     PoseQuat,
-    inverse_square_weights,
     lbs_apply,
     lbs_pullback,
     make_rig,
@@ -25,15 +24,12 @@ from .gradients import (
     numeric_backward,
 )
 from .meshcore import (
-    DEGENERACY_EPS,
     MeshValidationError,
     SimplexMesh,
     boundary_closure_defect,
     content,
-    element_contents,
     load_mesh,
     save_mesh,
-    total_mass,
     validate,
 )
 from .nuft import (
@@ -55,10 +51,8 @@ from .optimizer import (
 from .pipeline import (
     RasterizeConfig,
     finite_difference_gradient,
-    interior_angles,
     loss_smooth,
     polygon_boundary_mesh,
-    polygon_fan_mesh,
     polygon_signed_area,
     polygon_subdivide,
     rasterize,

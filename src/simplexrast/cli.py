@@ -21,11 +21,10 @@ import numpy as np
 from . import __version__
 from .deform import PoseQuat, make_rig
 from .gradients import backward_mesh, numeric_backward
-from .meshcore import MeshValidationError, _nonfinite_violations, load_mesh, save_mesh
+from .meshcore import MeshValidationError, _check_int, _nonfinite_violations, load_mesh, save_mesh
 from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
     RasterizeConfig,
-    _check_int,
     finite_difference_gradient,
     polygon_subdivide,
     rasterize,
@@ -302,8 +301,6 @@ def cmd_subdivide(args) -> int:
             deltas = np.full(polygon.shape[:1], args.delta)
     except TypeError as exc:  # e.g. an object where numbers belong
         raise ValueError(f"polygon or deltas have a value of the wrong type: {exc}") from exc
-    if not (np.isfinite(polygon).all() and np.isfinite(deltas).all()):
-        raise ValueError("polygon and deltas must be finite")
     refined = polygon_subdivide(polygon, deltas)
     n_edges = polygon.shape[0]
     text = json.dumps({"polygon": refined.tolist()}, allow_nan=False)  # fails before any write

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +100,18 @@ class SimplexMesh:
                            self.elements, self.densities)
 
 
+def _check_int(value, name: str, minimum: int) -> None:
+    """An integer (numpy integers too, bool not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """A finite real number (numpy floats too, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as float64; complex values are an error, not cast to their
     real part."""
@@ -168,7 +181,7 @@ def validate(mesh: SimplexMesh, strict: bool = False) -> list[str]:
         for e in np.nonzero(repeated)[0]:
             v.append(f"element {e}: repeated vertex index")
     if strict and mesh.degree >= 1 and finite and not bad_index.any():
-        contents = element_contents(mesh)
+        contents = _batch_content(mesh.element_points())
         for e in np.nonzero(contents <= DEGENERACY_EPS)[0]:
             v.append(f"element {e}: degenerate (content {contents[e]:.3e} <= {DEGENERACY_EPS:.0e})")
     return v
@@ -270,20 +283,6 @@ def _weight_gradients(pts: np.ndarray, weights: np.ndarray,
     rows = weights[:, None, None] * np.linalg.solve(gram, edges)
     rows[degenerate] = 0.0
     return np.concatenate([-rows.sum(axis=1, keepdims=True), rows], axis=1), degenerate
-
-
-def element_contents(mesh: SimplexMesh) -> np.ndarray:
-    """Content of every element, shape (n_e,)."""
-    if mesh.n_elements == 0:
-        return np.zeros(0)
-    return _batch_content(mesh.element_points())
-
-
-def total_mass(mesh: SimplexMesh) -> np.ndarray:
-    """Integral of the piecewise-constant field per channel: sum rho_n * C_n."""
-    if mesh.n_elements == 0:
-        return np.zeros(mesh.channels)
-    return element_contents(mesh) @ mesh.densities
 
 
 # ---------------------------------------------------------------------------

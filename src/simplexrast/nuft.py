@@ -28,6 +28,7 @@ import numpy as np
 from .meshcore import (
     MeshValidationError,
     SimplexMesh,
+    _check_int,
     _element_weights,
     _index_violations,
     _nonfinite_violations,
@@ -74,8 +75,7 @@ def _thread_count(workers, lanes: int) -> int:
     if workers is None:
         source, workers = "DDSL_WORKERS", os.environ.get("DDSL_WORKERS", "1")
         workers = int(workers) if workers.isdecimal() else workers
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")
+    _check_int(workers, source, 1)
     return min(workers, lanes, os.cpu_count() or 1)
 
 
@@ -92,11 +92,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 _workspace = threading.local()
-
-
-def _fresh(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """A new array for ``_kernel``'s buffer ``name``."""
-    return np.empty(shape, dtype)
 
 
 def _reused(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -237,29 +232,34 @@ def _tie_form(y: np.ndarray, f: np.ndarray):
     return h_a * l1 + h.sum(axis=0), slots
 
 
-def _kernel(sig: np.ndarray, slots: bool, table, buffer=_fresh):
-    """Kernel S of node-major phase slices sig (n, ...), stability-routed;
-    with ``slots`` also the derivative coefficient per node slot (n, ...).
+def _kernel(sv: np.ndarray, inv: np.ndarray, slots: bool):
+    """Kernel S of the phases ``sv[inv]`` (n, elements, modes), gathered by
+    the node-major index inv (n, elements) from one tile's per-vertex phase
+    table sv (vertices, modes), stability-routed; with ``slots`` also the
+    derivative coefficient per node slot (n, elements, modes).
 
-    One pass over the gaps g_tl = s_t - s_l (t < l) builds the Lagrange
-    terms S_t = exp(-i s_t) / prod_{l != t} (s_t - s_l), each denominator
-    in ``l`` order.  ``table`` = (ev, inv) holds those exps once per
-    vertex: ``ev[inv]`` equals ``exp(-1j * sig)``.  The slot-p
-    derivative is -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each
-    gap adds u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.
-    The gaps, the denominators and ``coefs`` go into ``buffer(name, shape,
-    dtype)``: new arrays, unless the sweep passes its reused ones.  Unsafe
-    rows, and with ``slots`` the risky rows the derivative's extra 1/gap
-    would spoil, leave this form.  With ``slots``, those with one zero gap
-    and every other gap past ``_SERIES_SPAN`` (a single exact tie) take
-    ``_tie_form``, their exps gathered from ``table``; the others take one
-    table each (``_dd_table``), which patches the unsafe kernels and every
-    slot.  Returns s, or (s, coefs).
+    The exps exp(-i sv) are taken once per vertex and gathered by the same
+    index.  One pass over the gaps g_tl = s_t - s_l (t < l) builds the
+    Lagrange terms S_t = exp(-i s_t) / prod_{l != t} (s_t - s_l), each
+    denominator in ``l`` order.  The slot-p derivative is
+    -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each gap adds
+    u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.  The
+    exps, gaps, denominators and ``coefs`` go into this thread's reused
+    buffers (``_reused``), so ``coefs`` last until the thread's next call.
+    Unsafe rows, and with ``slots`` the risky rows the derivative's extra
+    1/gap would spoil, leave this form.  With ``slots``, those with one zero
+    gap and every other gap past ``_SERIES_SPAN`` (a single exact tie) take
+    ``_tie_form``, their exps gathered from the vertex table; the others
+    take one table each (``_dd_table``), which patches the unsafe kernels
+    and every slot.  Returns s, or (s, coefs).
     """
+    ev = np.multiply(sv, -1j, out=_reused("ev", sv.shape, np.complex128))
+    np.exp(ev, out=ev)
+    sig = sv[inv]
     n = sig.shape[0]
     pairs, orders = _pair_plan(n)
-    gaps = buffer("gaps", (len(pairs),) + sig.shape[1:])
-    prod = buffer("prod", sig.shape)
+    gaps = _reused("gaps", (len(pairs),) + sig.shape[1:])
+    prod = _reused("prod", sig.shape)
     prod.fill(1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for q, (t, l) in enumerate(pairs):
@@ -269,11 +269,10 @@ def _kernel(sig: np.ndarray, slots: bool, table, buffer=_fresh):
         np.negative(prod[1::2], out=prod[1::2])  # node t has t gaps g_lt = -(s_t - s_l)
         min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
         amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
-        terms = table[0][table[1]] / prod
-        del prod
+        terms = ev[inv] / prod
         s = np.ascontiguousarray(terms.sum(axis=0))
         if slots:
-            coefs = np.multiply(-1j, terms, out=buffer("coefs", terms.shape, np.complex128))
+            coefs = np.multiply(-1j, terms, out=_reused("coefs", terms.shape, np.complex128))
             for q, (t, l) in enumerate(pairs):
                 u = terms[t] + terms[l]
                 u *= 1.0 / gaps[q]
@@ -286,7 +285,7 @@ def _kernel(sig: np.ndarray, slots: bool, table, buffer=_fresh):
         gap = np.minimum(np.maximum(min_gap, 1e-300), 1e6)
         risky = unsafe | (amp * (gap + 2.0) >= _DS_AMP_MAX * gap)
     # flat row indices; s and coefs are C-ordered, so their flat views write through
-    rows, shape, sig = np.flatnonzero(risky), sig.shape, sig.reshape(n, -1)
+    rows, sig = np.flatnonzero(risky), sig.reshape(n, -1)
     if slots and rows.size:
         g = np.abs(gaps.reshape(len(pairs), -1)[:, rows])
         tie = ((min_gap.reshape(-1)[rows] == 0.0)
@@ -294,13 +293,8 @@ def _kernel(sig: np.ndarray, slots: bool, table, buffer=_fresh):
         if tie.any():
             ties = rows[tie]
             order = orders[g[:, tie].argmin(axis=0)].T  # (n, ties): the tied pair first
-            # the tie rows' exps from the table: vert is each node's table row,
-            # indexed by the leading row axes the index spans (none for a slice)
-            ev, vert = table[0], np.arange(len(table[0]))[table[1]]
-            at = np.unravel_index(ties, shape[1:])
-            lead = vert.ndim - 1
-            exps = ev[(vert[(order[1:],) + at[:lead]],) + at[lead:]]
-            kernel, slot = _tie_form(sig[order, ties], exps)
+            e, m = np.divmod(ties, sv.shape[1])
+            kernel, slot = _tie_form(sig[order, ties], ev[inv[order[1:], e], m])
             s.reshape(-1)[ties] = kernel
             coefs.reshape(n, -1)[order, ties] = slot
             rows = rows[~tie]
@@ -367,10 +361,9 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
 
     Per element block the used vertices are found once, with a node-major
     (nodes, elements) index into them; in auxnode mode the auxiliary
-    origin is row 0.  Per tile the phases ``k . x`` and their exps are
-    computed once per used vertex and mode, and the index gathers the
-    phases for ``_kernel`` and hands it the exps as a table, so the table
-    is bounded by the used set, never by the whole mesh.
+    origin is row 0.  Per tile the phases ``k . x`` are computed once per
+    used vertex and mode, and ``_kernel`` takes that table with the index,
+    so the table is bounded by the used set, never by the whole mesh.
 
     ``reduce`` is called once per thread with a generator of (lane, element
     span, mode span, kernel).  Mode tile t is in lane t mod ``_LANES``, and
@@ -400,14 +393,11 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
             modes = slice(m_bounds[t], m_bounds[t + 1])
             k = wavevectors[modes].T
             for elems, verts, inv in blocks:
-                # phases k . x per used vertex, below the auxiliary origin's zero
-                # row, and their exps, in this thread's buffers
+                # phases k . x per used vertex, below the auxiliary origin's zero row
                 sv = _reused("sv", (len(verts) + auxnode, k.shape[1]))
                 sv[:auxnode] = 0.0
                 np.matmul(verts, k, out=sv[auxnode:])
-                ev = np.multiply(sv, -1j, out=_reused("ev", sv.shape, np.complex128))
-                table = (np.exp(ev, out=ev), inv)
-                yield t % _LANES, elems, modes, _kernel(sv[inv], slots, table, _reused)
+                yield t % _LANES, elems, modes, _kernel(sv, inv, slots)
 
     if workers == 1:
         return reduce(tiles(0))

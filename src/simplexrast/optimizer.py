@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .deform import ControlRig, PoseQuat, lbs_apply, lbs_pullback, quat_apply, quat_pullback
-from .meshcore import SimplexMesh
-from .pipeline import (RasterizeConfig, _ccw_loop, _check_int, _check_real, _rasters,
-                       _rasters_backward, loss_smooth)
+from .meshcore import SimplexMesh, _check_int, _check_real
+from .pipeline import RasterizeConfig, _ccw_loop, _rasters, _rasters_backward, loss_smooth
 # not called here: perfbench/layers.py wraps these two module attributes by name
 from .pipeline import rasterize, rasterize_backward  # noqa: F401
 from .spectral import Raster
@@ -308,16 +307,17 @@ def fit(problem: FitProblem) -> FitResult:
     return result
 
 
-def iou(raster_a, raster_b, threshold: float = 0.5) -> float:
-    """Intersection over union of the thresholded rasters; 1.0 if both empty."""
+def iou(raster_a, raster_b) -> float:
+    """Intersection over union of the rasters thresholded at 0.5 (half the
+    unit density); 1.0 if both empty."""
     a = raster_a.values if isinstance(raster_a, Raster) else np.asarray(raster_a)
     b = raster_b.values if isinstance(raster_b, Raster) else np.asarray(raster_b)
     if a.shape != b.shape:
         raise ValueError("rasters must have the same shape")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("rasters must be finite")
-    sa = a > threshold
-    sb = b > threshold
+    sa = a > 0.5
+    sb = b > 0.5
     union = np.logical_or(sa, sb).sum()
     if union == 0:
         return 1.0

@@ -12,14 +12,13 @@ for non-convex shapes.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
-from .meshcore import MeshValidationError, SimplexMesh, boundary_closure_defect, validate
+from .meshcore import (MeshValidationError, SimplexMesh, _check_int, boundary_closure_defect,
+                       validate)
 from .nuft import forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
@@ -50,18 +49,6 @@ class RasterizeConfig:
         _filter_width(self.filter_width)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-
-
-def _check_int(value, name: str, minimum: int) -> None:
-    """An integer (numpy integers too, bool not) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_real(value, name: str) -> None:
-    """A finite real number (numpy floats too, bool not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_strict(mesh: SimplexMesh, config: RasterizeConfig) -> None:
@@ -187,7 +174,7 @@ def _rasters_backward(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
 # polygons
 
 def polygon_signed_area(polygon) -> float:
-    p = np.asarray(polygon, dtype=np.float64)
+    p = _check_polygon(polygon)
     x, y = p[:, 0], p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -196,26 +183,21 @@ def _check_polygon(polygon) -> np.ndarray:
     p = np.asarray(polygon, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
         raise ValueError("polygon must be an (n >= 3, 2) vertex loop")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("polygon vertices must be finite")
     closing = np.roll(p, -1, axis=0) - p
     if np.any(np.all(closing == 0.0, axis=1)):
         raise ValueError("polygon repeats a consecutive vertex (is it explicitly closed?)")
     return p
 
 
-def polygon_boundary_mesh(polygon, density: float = 1.0) -> SimplexMesh:
-    """Closed polygon as a degree-1 boundary mesh (one segment per edge)."""
+def polygon_boundary_mesh(polygon) -> SimplexMesh:
+    """Closed polygon as a unit-density degree-1 boundary mesh (one segment
+    per edge)."""
     p = _check_polygon(polygon)
     n = p.shape[0]
     elements = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return SimplexMesh(2, 1, p, elements, np.full(n, float(density)))
-
-
-def polygon_fan_mesh(polygon) -> SimplexMesh:
-    """Unit-density fan triangulation from vertex 0 (valid for convex polygons)."""
-    p = _check_polygon(polygon)
-    n = p.shape[0]
-    tris = [[0, i, i + 1] for i in range(1, n - 1)]
-    return SimplexMesh(2, 2, p, np.asarray(tris), np.ones(n - 2))
+    return SimplexMesh(2, 1, p, elements, np.ones(n))
 
 
 def _undirected(elements) -> set:
@@ -255,12 +237,6 @@ def _ccw_corners(polygon):
     cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
     dot = np.einsum("nd,nd->n", e_in, e_out)
     return flipped, e_in, e_out, cross, dot, np.pi - np.arctan2(cross, dot)
-
-
-def interior_angles(polygon) -> np.ndarray:
-    """Interior angle at every vertex of a simple polygon, in input order."""
-    flipped, *_, angles = _ccw_corners(polygon)
-    return angles[::-1].copy() if flipped else angles
 
 
 def loss_smooth(polygon):
@@ -304,6 +280,8 @@ def polygon_subdivide(polygon, deltas) -> np.ndarray:
     n = p.shape[0]
     if d.shape != (n,):
         raise ValueError(f"need one offset per edge ({n}), got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("polygon offsets must be finite")
     ccw = polygon_signed_area(p) >= 0
     edges = np.roll(p, -1, axis=0) - p
     lengths = np.linalg.norm(edges, axis=1)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshcore import _json_int
+from .meshcore import _check_int, _json_int
 
 
 @dataclass
@@ -59,14 +59,17 @@ class SpectralGrid:
         return self.dim == other.dim and self.resolution == other.resolution
 
 
-@functools.lru_cache(maxsize=64)
 def build_grid(dim: int, resolution: int) -> SpectralGrid:
-    """Half-spectrum grid with R^(d-1) * (floor(R/2)+1) modes."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    r = resolution
+    """Half-spectrum grid with R^(d-1) * (floor(R/2)+1) modes; one object
+    per size, since cached."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dim!r}")
+    _check_int(resolution, "resolution", 2)
+    return _grid(int(dim), int(resolution))
+
+
+@functools.lru_cache(maxsize=64)
+def _grid(dim: int, r: int) -> SpectralGrid:
     # index q along a full axis carries frequency q, folded to (-(R-1)//2 .. R//2]
     full_axis = np.array([q if q <= r // 2 else q - r for q in range(r)], dtype=np.int64)
     half_axis = np.arange(r // 2 + 1, dtype=np.int64)

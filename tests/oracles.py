@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from simplexrast.meshcore import DEGENERACY_EPS, content
+from simplexrast.meshcore import DEGENERACY_EPS, SimplexMesh, _batch_content, content
 from simplexrast.nuft import (
     _DS_AMP_MAX,
     _I_POW,
@@ -23,7 +23,7 @@ from simplexrast.nuft import (
     _dd_series_entry,
     _kernel,
 )
-from simplexrast.pipeline import rasterize
+from simplexrast.pipeline import _ccw_corners, _check_polygon, rasterize
 from simplexrast.spectral import Raster, SpectralField
 
 
@@ -57,9 +57,15 @@ def eval_S(sigmas) -> complex:
 
 
 def direct_kernel(sig: np.ndarray, slots: bool):
-    """``nuft._kernel`` of node-major phases sig (n, ...), its exps taken
-    directly rather than gathered from a per-vertex table."""
-    return _kernel(sig, slots, (np.exp(-1j * sig), slice(None)))
+    """``nuft._kernel`` of node-major phases sig (n, ...), every node its own
+    row of a one-mode phase table.  The results come back in sig's layout,
+    the coefficients copied out of the thread's reused buffer."""
+    sig = np.asarray(sig, dtype=np.float64)
+    sv = sig.reshape(-1, 1)
+    out = _kernel(sv, np.arange(sv.size).reshape(len(sig), -1), slots)
+    if not slots:
+        return out.reshape(sig.shape[1:])
+    return out[0].reshape(sig.shape[1:]), out[1].reshape(sig.shape).copy()
 
 
 def lagrange_terms(sig: np.ndarray):
@@ -142,6 +148,25 @@ def slot_tables(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     return np.stack([divided_diff_table(np.concatenate([z, z[:, p:p + 1]], axis=1))
                      for p in range(z.shape[1])], axis=1)
+
+
+def total_mass(mesh) -> np.ndarray:
+    """Integral of the piecewise-constant field per channel: sum rho_n * C_n."""
+    return _batch_content(mesh.element_points()) @ mesh.densities
+
+
+def polygon_fan_mesh(polygon) -> SimplexMesh:
+    """Unit-density fan triangulation from vertex 0 (valid for convex polygons)."""
+    p = _check_polygon(polygon)
+    n = p.shape[0]
+    tris = [[0, i, i + 1] for i in range(1, n - 1)]
+    return SimplexMesh(2, 2, p, np.asarray(tris), np.ones(n - 2))
+
+
+def interior_angles(polygon) -> np.ndarray:
+    """Interior angle at every vertex of a simple polygon, in input order."""
+    flipped, *_, angles = _ccw_corners(polygon)
+    return angles[::-1].copy() if flipped else angles
 
 
 def distortion_factor(points) -> float:

@@ -99,7 +99,7 @@ def test_criterion_3_mass_conservation():
     for i in range(100):
         j, d = combos[i % len(combos)]
         mesh = sr.random_mesh(j, d, int(rng.integers(5, 15)), rng)
-        mass = float(sr.total_mass(mesh)[0])
+        mass = float(oracles.total_mass(mesh)[0])
         for res in (4, 8, 16):
             raster = sr.rasterize(mesh, sr.RasterizeConfig(resolution=res))
             worst = max(worst, abs(raster.values.mean() - mass) / abs(mass))
@@ -116,7 +116,7 @@ def test_criterion_4_auxnode_matches_triangulation():
     for _ in range(100):
         poly = sr.random_convex_polygon(int(rng.integers(4, 12)), rng)
         via_boundary = sr.forward_auxnode(sr.polygon_boundary_mesh(poly), grid).coeffs
-        via_fan = sr.forward_mesh(sr.polygon_fan_mesh(poly), grid).coeffs
+        via_fan = sr.forward_mesh(oracles.polygon_fan_mesh(poly), grid).coeffs
         scale = np.abs(via_fan).max()
         worst = max(worst, float(np.abs(via_boundary - via_fan).max() / scale))
     assert worst <= 1e-9, f"auxnode/triangulation gap {worst:.3e}"
@@ -255,7 +255,7 @@ def test_criterion_8_translated_square_recovery():
     assert np.all(np.diff(result.losses) <= 0.0), "loss increased"
     fitted = sr.rasterize(problem.geometry(result.state), config)
     target = sr.rasterize(problem.target, config)
-    score = sr.iou(fitted, target, 0.5)
+    score = sr.iou(fitted, target)
     assert score >= 0.95, f"IoU {score:.3f} < 0.95"
     assert result.trajectory[-1].loss < 0.01 * result.trajectory[0].loss
     _report("C8a", f"IoU {score:.3f} after {result.trajectory[-1].iteration} iters")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import simplexrast as sr
+from simplexrast.deform import inverse_square_weights
 import oracles
 
 
@@ -80,7 +81,7 @@ class TestLbsApply:
                           np.ones((len(verts), 1)), verts)
 
     def test_default_weights_normalized(self, verts):
-        w = sr.inverse_square_weights(verts, np.array([[0.2, 0.2], [0.8, 0.8]]))
+        w = inverse_square_weights(verts, np.array([[0.2, 0.2], [0.8, 0.8]]))
         assert np.all(w >= 0)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 

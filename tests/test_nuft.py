@@ -251,14 +251,14 @@ class TestSharedTable:
         for batch in range(24):
             n = 1 + batch % 4
             z = confluent_rows(rng, n) if batch % 2 else rng.uniform(-100, 100, (200, n))
-            # one vertex row per distinct phase: exact ties share a row
+            # one vertex row per distinct phase, one mode: exact ties share a row
             verts, inv = np.unique(z.T, return_inverse=True)
-            inv = inv.reshape(z.T.shape)
+            sv, inv = verts[:, None], inv.reshape(z.T.shape)
             sig = verts[inv]
-            ev = -1j * verts  # exponentiated in place, as the sweep does
-            table = (np.exp(ev, out=ev), inv)
-            assert np.array_equal(_kernel(sig, False, table), oracles.direct_kernel(sig, False))
-            for got, ref in zip(_kernel(sig, True, table), oracles.direct_kernel(sig, True)):
+            got = _kernel(sv, inv, False)[:, 0]
+            assert np.array_equal(got, oracles.direct_kernel(sig, False))
+            kept = [a[..., 0].copy() for a in _kernel(sv, inv, True)]  # before coefs are reused
+            for got, ref in zip(kept, oracles.direct_kernel(sig, True)):
                 assert np.array_equal(got, ref)
 
     def test_lattice_rows_match_high_precision(self):
@@ -323,7 +323,7 @@ class TestForwardMesh:
         for j, d in [(0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]:
             mesh = sr.random_mesh(j, d, 10, rng, channels=2)
             field = sr.forward_mesh(mesh, sr.build_grid(d, 4))
-            mass = sr.total_mass(mesh)
+            mass = oracles.total_mass(mesh)
             dc = field.coeffs[0]  # row 0 of every grid is the zero mode
             assert np.allclose(dc.real, mass, rtol=1e-12)
             assert np.all(np.abs(dc.imag) <= 1e-9 * (1 + np.abs(mass)))
@@ -544,7 +544,7 @@ class TestAuxNode:
         for _ in range(10):
             poly = sr.random_convex_polygon(int(rng.integers(4, 9)), rng)
             fb = sr.forward_auxnode(sr.polygon_boundary_mesh(poly), grid).coeffs
-            ft = sr.forward_mesh(sr.polygon_fan_mesh(poly), grid).coeffs
+            ft = sr.forward_mesh(oracles.polygon_fan_mesh(poly), grid).coeffs
             assert np.abs(fb - ft).max() <= 1e-9 * np.abs(ft).max()
 
     def test_open_boundary_rejected_strict(self):
@@ -762,8 +762,9 @@ def test_interleaved_calls_bit_identical(monkeypatch):
 
 
 def test_direct_kernel_results_are_not_reused(rng):
-    """A direct ``_kernel`` call returns new arrays: neither a second direct
-    call nor a sweep in the same thread changes what the first returned."""
+    """The direct oracle copies ``_kernel``'s reused coefficients out: neither
+    a second direct call nor a sweep in the same thread changes what the
+    first returned."""
     z = confluent_rows(rng, 4)
     s, coefs = oracles.direct_kernel(z.T, True)
     kept = s.copy(), coefs.copy()

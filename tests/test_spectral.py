@@ -37,6 +37,16 @@ class TestBuildGrid:
     def test_cached(self):
         assert sr.build_grid(2, 8) is sr.build_grid(2, 8)
 
+    def test_arguments_checked_before_the_cache(self):
+        """A float size is an error whether or not its integer twin, which
+        compares equal, is cached already; numpy integers share its grid."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match="resolution must be an integer"):
+                sr.build_grid(2, 13.0)
+            with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+                sr.build_grid(2.0, 13)
+            assert sr.build_grid(np.int64(2), np.int64(13)) is sr.build_grid(2, 13)
+
 
 class TestGaussianFilter:
     def test_unit_dc_gain(self):
