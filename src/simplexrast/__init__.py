@@ -33,7 +33,6 @@ from .meshcore import (
     validate,
 )
 from .nuft import (
-    EPS_CONFLUENT,
     forward_auxnode,
     forward_mesh,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshcore import SimplexMesh, _weight_gradients
-from .nuft import _I_POW, _LANES, _checked_elements, _sweep, forward_auxnode, forward_mesh
+from .nuft import _I_POW, _LANES, _checked_elements, _sweep, forward_mesh
 from .spectral import SpectralField, SpectralGrid, spectral_inner
 
 
@@ -45,38 +45,35 @@ def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
     dweights, degenerate = _weight_gradients(pts, weights, auxnode)
     n_e, slots, d = pts.shape
     wavevectors, dens = grid.wavevectors, mesh.densities
-    # cotangent and fold weights as one per-(mode, channel) factor
-    wcot = grid.fold_weights[:, None] * np.conj(cotangent.coeffs)
+    # i**j, the fold weights and the cotangent as one per-(mode, channel) factor
+    wcot = (_I_POW[(slots - 1 + auxnode) % 4] * grid.fold_weights[:, None]
+            * np.conj(cotangent.coeffs))
 
-    # per-lane sums over the modes: a_e = sum ghat S, the kernel part
-    # b_epd = sum ghat coef_p k_d (auxiliary origin slot dropped, it is fixed)
-    # and the density rows sum S w conj(G)
-    a = np.zeros((_LANES, n_e), dtype=np.complex128)
-    b = np.zeros((_LANES, slots, n_e, d), dtype=np.complex128)
-    dd = np.zeros((_LANES, n_e, mesh.channels), dtype=np.complex128)
+    # per-lane real sums over the modes, with ghat = dens wcot^T: the kernel
+    # part b_epd = sum Re[ghat coef_p] k_d (auxiliary origin slot dropped, it
+    # is fixed) and the density rows dd_ec = sum Re[S wcot_c]
+    b = np.zeros((_LANES, slots, n_e, d))
+    dd = np.zeros((_LANES, n_e, mesh.channels))
 
-    def reduce(tiles):  # each lane is written by one thread only
-        # coefs is the thread's reused buffer: used up here before the next tile
-        for lane, elems, modes, (s, coefs) in tiles:
-            ghat = dens[elems] @ wcot[modes].T
-            a[lane, elems] += np.einsum("em,em->e", ghat, s)
-            b[lane, :, elems] += (ghat * coefs[int(auxnode):]) @ wavevectors[modes]
-            dd[lane, elems] += s @ wcot[modes]
+    def add(lane, elems, modes, kernel):  # each lane is written by one thread only
+        s, coefs = kernel
+        ghat = dens[elems] @ wcot[modes].T
+        b[lane, :, elems] += (ghat * coefs[int(auxnode):]).real @ wavevectors[modes]
+        dd[lane, elems] += (s @ wcot[modes]).real
 
-    _sweep(mesh, wavevectors, auxnode, True, workers, reduce)
+    _sweep(mesh, wavevectors, auxnode, True, workers, add)
     # in lane order; a lane without tiles adds exact zeros
-    a, b, dd = (sum(lanes[1:], lanes[0]) for lanes in (a, b, dd))
-
-    ij = _I_POW[(slots - 1 + auxnode) % 4]
-    slot_grad = (ij * (a[:, None, None] * dweights
-                       + weights[:, None, None] * b.transpose(1, 0, 2))).real
+    b, dd = (sum(lanes[1:], lanes[0]) for lanes in (b, dd))
+    # the weight part: a_e = sum Re[ghat S] = sum_c rho_ec dd_ec, as rho is real
+    a = np.einsum("ec,ec->e", dens, dd)
+    slot_grad = a[:, None, None] * dweights + weights[:, None, None] * b.transpose(1, 0, 2)
     slot_grad[degenerate] = 0.0
     d_vertices = np.zeros((mesh.n_vertices, d))
     np.add.at(d_vertices, mesh.elements.reshape(-1), slot_grad.reshape(-1, d))
     if degenerate.any():
         warnings.warn(f"{int(degenerate.sum())} degenerate elements received zero "
                       "vertex gradient", RuntimeWarning, stacklevel=3)
-    return MeshGradient(d_vertices, (ij * weights[:, None] * dd).real)
+    return MeshGradient(d_vertices, weights[:, None] * dd)
 
 
 def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
@@ -141,13 +138,10 @@ def _central_differences(mesh: SimplexMesh, forward, grid: SpectralGrid,
 
 
 def numeric_backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
-                     h: float = 1e-6, mode: str = "simplex") -> MeshGradient:
-    """Central-difference gradient by re-running the forward transform.
+                     h: float = 1e-6) -> MeshGradient:
+    """Central-difference gradient of the simplex transform by re-running it.
 
     Every probe transforms the whole mesh: Theta((j+1) n_e^2 m) against
     the analytic pass's Theta((j+1) n_e m).
     """
-    forward = {"simplex": forward_mesh, "auxnode": forward_auxnode}.get(mode)
-    if forward is None:
-        raise ValueError(f"mode must be 'simplex' or 'auxnode', got {mode!r}")
-    return _central_differences(mesh, forward, grid, cotangent, h, local=False)
+    return _central_differences(mesh, forward_mesh, grid, cotangent, h, local=False)

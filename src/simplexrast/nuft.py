@@ -244,8 +244,9 @@ def _kernel(sv: np.ndarray, inv: np.ndarray, slots: bool):
     denominator in ``l`` order.  The slot-p derivative is
     -i S_p + sum_{t != p} (S_t + S_p) / (s_t - s_p): each gap adds
     u = (S_t + S_l) / g_tl to slot l and subtracts it from slot t.  The
-    exps, gaps, denominators and ``coefs`` go into this thread's reused
-    buffers (``_reused``), so ``coefs`` last until the thread's next call.
+    exps, gaps, denominators, ``s`` and ``coefs`` go into this thread's
+    reused buffers (``_reused``), so ``s`` and ``coefs`` last until the
+    thread's next call.
     Unsafe rows, and with ``slots`` the risky rows the derivative's extra
     1/gap would spoil, leave this form.  With ``slots``, those with one zero
     gap and every other gap past ``_SERIES_SPAN`` (a single exact tie) take
@@ -270,7 +271,7 @@ def _kernel(sv: np.ndarray, inv: np.ndarray, slots: bool):
         min_gap = np.abs(gaps).min(axis=0, initial=np.inf)
         amp = 1.0 / np.maximum(np.abs(prod).min(axis=0), 1e-300)
         terms = ev[inv] / prod
-        s = np.ascontiguousarray(terms.sum(axis=0))
+        s = terms.sum(axis=0, out=_reused("s", terms.shape[1:], np.complex128))
         if slots:
             coefs = np.multiply(-1j, terms, out=_reused("coefs", terms.shape, np.complex128))
             for q, (t, l) in enumerate(pairs):
@@ -356,8 +357,8 @@ def _tiles(n_elements: int, n_modes: int):
 
 
 def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
-           reduce) -> None:
-    """Run ``_kernel`` over every tile and hand the results to ``reduce``.
+           add) -> None:
+    """Run ``_kernel`` over every tile and hand each result to ``add``.
 
     Per element block the used vertices are found once, with a node-major
     (nodes, elements) index into them; in auxnode mode the auxiliary
@@ -365,14 +366,13 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
     used vertex and mode, and ``_kernel`` takes that table with the index,
     so the table is bounded by the used set, never by the whole mesh.
 
-    ``reduce`` is called once per thread with a generator of (lane, element
-    span, mode span, kernel).  Mode tile t is in lane t mod ``_LANES``, and
-    thread w of W runs the tiles of the lanes congruent to w mod W in tile
-    order, so each lane's tiles come in one thread and one order whatever W.
-    The threads are the persistent ``_pool(W)``, or the caller's alone at
-    W = 1.  Each thread builds its tiles in its own reused buffers
-    (``_reused``), so a kernel's ``coefs`` hold until the generator resumes:
-    ``reduce`` must be done with a tile before it asks for the next.
+    ``add(lane, element span, mode span, kernel)`` is called once per tile.
+    Mode tile t is in lane t mod ``_LANES``, and thread w of W runs the
+    tiles of the lanes congruent to w mod W in tile order, so each lane's
+    tiles come in one thread and one order whatever W.  The threads are the
+    persistent ``_pool(W)``, or the caller's alone at W = 1.  Each thread
+    builds its tiles in its own reused buffers (``_reused``), so a kernel's
+    results hold only until ``add`` returns.
     """
     n_elements, n_nodes = mesh.elements.shape
     e_bounds, m_bounds = _tiles(n_elements, len(wavevectors))
@@ -386,7 +386,7 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
             inv = np.concatenate([np.zeros((1, e1 - e0), dtype=inv.dtype), inv + 1])
         blocks.append((slice(e0, e1), mesh.vertices[used], inv))
 
-    def tiles(w):
+    def run(w):
         for t in range(n_tiles):
             if t % _LANES % workers != w:
                 continue
@@ -397,11 +397,11 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
                 sv = _reused("sv", (len(verts) + auxnode, k.shape[1]))
                 sv[:auxnode] = 0.0
                 np.matmul(verts, k, out=sv[auxnode:])
-                yield t % _LANES, elems, modes, _kernel(sv, inv, slots)
+                add(t % _LANES, elems, modes, _kernel(sv, inv, slots))
 
     if workers == 1:
-        return reduce(tiles(0))
-    futures = [_pool(workers).submit(reduce, tiles(w)) for w in range(workers)]
+        return run(0)
+    futures = [_pool(workers).submit(run, w) for w in range(workers)]
     wait(futures)  # no thread still writes the caller's sums when one raises
     for future in futures:
         future.result()
@@ -413,11 +413,10 @@ def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> S
     factor = _I_POW[(pts.shape[1] - 1 + auxnode) % 4] * weights[:, None] * mesh.densities
     coeffs = np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128)
 
-    def reduce(tiles):  # each mode tile writes only its own rows of coeffs
-        for _, elems, modes, s in tiles:
-            coeffs[modes] += s.T @ factor[elems]
+    def add(lane, elems, modes, s):  # each mode tile writes only its own rows of coeffs
+        coeffs[modes] += s.T @ factor[elems]
 
-    _sweep(mesh, grid.wavevectors, auxnode, False, workers, reduce)
+    _sweep(mesh, grid.wavevectors, auxnode, False, workers, add)
     return SpectralField(grid, coeffs)
 
 

@@ -174,7 +174,10 @@ def _rasters_backward(mesh: SimplexMesh, config: RasterizeConfig, resolutions,
 # polygons
 
 def polygon_signed_area(polygon) -> float:
-    p = _check_polygon(polygon)
+    return _signed_area(_check_polygon(polygon))
+
+
+def _signed_area(p: np.ndarray) -> float:
     x, y = p[:, 0], p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -217,7 +220,7 @@ def _ccw_loop(polygon, elements=None) -> SimplexMesh:
                                  or _undirected(elements) != _undirected(mesh.elements)):
         raise MeshValidationError(
             ["boundary elements are not the edges {i, i+1 mod n} of its vertex loop"])
-    if polygon_signed_area(mesh.vertices) < 0:
+    if _signed_area(mesh.vertices) < 0:
         mesh.elements = mesh.n_vertices - 1 - mesh.elements
     return mesh
 
@@ -230,7 +233,7 @@ def _ccw_corners(polygon):
     """Whether walking the loop counter-clockwise reverses it, and per corner
     of that walk the edges in and out, their cross and dot, and the angle."""
     p = _check_polygon(polygon)
-    flipped = polygon_signed_area(p) < 0
+    flipped = _signed_area(p) < 0
     q = p[::-1].copy() if flipped else p
     e_in = q - np.roll(q, 1, axis=0)
     e_out = np.roll(q, -1, axis=0) - q
@@ -282,7 +285,7 @@ def polygon_subdivide(polygon, deltas) -> np.ndarray:
         raise ValueError(f"need one offset per edge ({n}), got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("polygon offsets must be finite")
-    ccw = polygon_signed_area(p) >= 0
+    ccw = _signed_area(p) >= 0
     edges = np.roll(p, -1, axis=0) - p
     lengths = np.linalg.norm(edges, axis=1)
     if np.any(lengths == 0):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from simplexrast.gradients import _central_differences
 from simplexrast.meshcore import DEGENERACY_EPS, SimplexMesh, _batch_content, content
 from simplexrast.nuft import (
     _DS_AMP_MAX,
@@ -22,6 +23,7 @@ from simplexrast.nuft import (
     EPS_CONFLUENT,
     _dd_series_entry,
     _kernel,
+    forward_auxnode,
 )
 from simplexrast.pipeline import _ccw_corners, _check_polygon, rasterize
 from simplexrast.spectral import Raster, SpectralField
@@ -59,13 +61,13 @@ def eval_S(sigmas) -> complex:
 def direct_kernel(sig: np.ndarray, slots: bool):
     """``nuft._kernel`` of node-major phases sig (n, ...), every node its own
     row of a one-mode phase table.  The results come back in sig's layout,
-    the coefficients copied out of the thread's reused buffer."""
+    copied out of the thread's reused buffers."""
     sig = np.asarray(sig, dtype=np.float64)
     sv = sig.reshape(-1, 1)
     out = _kernel(sv, np.arange(sv.size).reshape(len(sig), -1), slots)
     if not slots:
-        return out.reshape(sig.shape[1:])
-    return out[0].reshape(sig.shape[1:]), out[1].reshape(sig.shape).copy()
+        return out.reshape(sig.shape[1:]).copy()
+    return out[0].reshape(sig.shape[1:]).copy(), out[1].reshape(sig.shape).copy()
 
 
 def lagrange_terms(sig: np.ndarray):
@@ -220,6 +222,12 @@ def raster_loss(mesh, config, raster_cotangent) -> float:
     if cot.shape != values.shape:
         cot = cot[..., None]
     return float(np.sum(cot * values))
+
+
+def numeric_backward_auxnode(boundary, grid, cotangent):
+    """Central-difference gradient of the auxnode transform (step 1e-6),
+    every probe transforming the whole boundary."""
+    return _central_differences(boundary, forward_auxnode, grid, cotangent, 1e-6, local=False)
 
 
 def random_spectral_cotangent(grid, rng: np.random.Generator,

@@ -6,7 +6,7 @@ import types
 import simplexrast as sr
 
 PUBLIC_NAMES = """
-    ControlRig EPS_CONFLUENT FitDivergedError
+    ControlRig FitDivergedError
     FitProblem FitResult MeshGradient MeshValidationError PoseQuat Raster
     RasterizeConfig Schedule SimplexMesh SpectralField SpectralGrid TrajectoryPoint
     adjoint_transform apply_filter backward_auxnode backward_mesh boundary_closure_defect

@@ -341,15 +341,6 @@ class TestNumericBackward:
             with pytest.raises(ValueError, match="step h must be positive and finite"):
                 sr.numeric_backward(mesh, grid, cot, h=h)
 
-    @pytest.mark.parametrize("mode", ["simplx", "Auxnode", None])
-    def test_unknown_mode_rejected(self, rng, mode):
-        """A misspelled mode names itself; it does not run the auxnode transform."""
-        mesh = sr.random_mesh(1, 2, 4, rng)
-        grid = sr.build_grid(2, 4)
-        with pytest.raises(ValueError, match=repr(mode)):
-            sr.numeric_backward(mesh, grid, oracles.random_spectral_cotangent(grid, rng),
-                                mode=mode)
-
 
 class TestBackwardAuxnode:
     def test_matches_finite_differences(self, rng):
@@ -358,7 +349,7 @@ class TestBackwardAuxnode:
         grid = sr.build_grid(2, 8)
         cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(boundary, grid, cot)
-        num = sr.numeric_backward(boundary, grid, cot, h=1e-6, mode="auxnode")
+        num = oracles.numeric_backward_auxnode(boundary, grid, cot)
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
         assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
         sd = max(np.abs(num.d_densities).max(), 1e-10)
@@ -379,7 +370,7 @@ class TestBackwardAuxnode:
         grid = sr.build_grid(3, 4)
         cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(surface, grid, cot)
-        num = sr.numeric_backward(surface, grid, cot, h=1e-6, mode="auxnode")
+        num = oracles.numeric_backward_auxnode(surface, grid, cot)
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
         assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
 
@@ -391,11 +382,48 @@ class TestBackwardAuxnode:
         grid = sr.build_grid(2, 8)
         cot = oracles.random_spectral_cotangent(grid, rng)
         ana = sr.backward_auxnode(boundary, grid, cot)
-        num = sr.numeric_backward(boundary, grid, cot, h=1e-6, mode="auxnode")
+        num = oracles.numeric_backward_auxnode(boundary, grid, cot)
         sv = max(np.abs(num.d_vertices).max(), 1e-10)
         assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
         sd = max(np.abs(num.d_densities).max(), 1e-10)
         assert np.abs(ana.d_densities - num.d_densities).max() / sd <= 1e-5
+
+
+    def test_two_channel_matches_finite_differences(self, rng):
+        """The weight part of the vertex gradient contracts the density rows
+        over the channels; two channels of different densities check it."""
+        loop = sr.polygon_boundary_mesh(sr.random_convex_polygon(6, rng))
+        boundary = sr.SimplexMesh(2, 1, loop.vertices, loop.elements,
+                                  rng.uniform(0.5, 1.5, (loop.n_elements, 2)))
+        grid = sr.build_grid(2, 8)
+        cot = oracles.random_spectral_cotangent(grid, rng, channels=2)
+        ana = sr.backward_auxnode(boundary, grid, cot)
+        num = oracles.numeric_backward_auxnode(boundary, grid, cot)
+        sv = max(np.abs(num.d_vertices).max(), 1e-10)
+        assert np.abs(ana.d_vertices - num.d_vertices).max() / sv <= 1e-5
+        sd = max(np.abs(num.d_densities).max(), 1e-10)
+        assert np.abs(ana.d_densities - num.d_densities).max() / sd <= 1e-5
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("case", ["triangles", "tetrahedra", "auxnode"])
+def test_euler_identity_in_the_densities(rng, case, channels):
+    """L is linear in the densities, so sum rho dL/drho = L up to round-off."""
+    if case == "auxnode":
+        mesh = sr.polygon_boundary_mesh(sr.random_simple_polygon(10, rng))
+        forward, backward = sr.forward_auxnode, sr.backward_auxnode
+    else:
+        mesh = sr.random_mesh(*((2, 2) if case == "triangles" else (3, 3)), 12, rng)
+        forward, backward = sr.forward_mesh, sr.backward_mesh
+    mesh = sr.SimplexMesh(mesh.dim, mesh.degree, mesh.vertices, mesh.elements,
+                          rng.uniform(0.5, 1.5, (mesh.n_elements, channels)))
+    grid = sr.build_grid(mesh.dim, 8)
+    cot = oracles.random_spectral_cotangent(grid, rng, channels=channels)
+    field = forward(mesh, grid)
+    loss = sr.spectral_inner(field, cot)
+    scale = np.sum(grid.fold_weights[:, None] * np.abs(cot.coeffs * field.coeffs))
+    euler = np.sum(mesh.densities * backward(mesh, grid, cot).d_densities)
+    assert abs(euler - loss) <= 1e-10 * scale
 
 
 def mesh_entry_calls(tri, loop) -> list:

@@ -255,9 +255,9 @@ class TestSharedTable:
             verts, inv = np.unique(z.T, return_inverse=True)
             sv, inv = verts[:, None], inv.reshape(z.T.shape)
             sig = verts[inv]
-            got = _kernel(sv, inv, False)[:, 0]
+            got = _kernel(sv, inv, False)[:, 0].copy()  # before the buffers are reused
             assert np.array_equal(got, oracles.direct_kernel(sig, False))
-            kept = [a[..., 0].copy() for a in _kernel(sv, inv, True)]  # before coefs are reused
+            kept = [a[..., 0].copy() for a in _kernel(sv, inv, True)]
             for got, ref in zip(kept, oracles.direct_kernel(sig, True)):
                 assert np.array_equal(got, ref)
 
@@ -640,7 +640,7 @@ def test_tile_plan(n_elements, n_modes, n_tiles):
 
 def test_each_lane_in_one_thread_in_tile_order(rng, monkeypatch):
     """Mode tile t goes to lane t mod ``_LANES`` at every worker count, and
-    each lane's tiles reach the reduction in one thread and in tile order,
+    each lane's tiles reach ``add`` in one thread and in tile order,
     which is what keeps per-lane sums independent of the worker count."""
     monkeypatch.setattr(sr.nuft, "_TILE_PAIRS", 256)
     monkeypatch.setattr(sr.nuft.os, "cpu_count", lambda: 8)
@@ -650,11 +650,10 @@ def test_each_lane_in_one_thread_in_tile_order(rng, monkeypatch):
     for workers in (1, 2, 3, 5, 8):
         seen = []
 
-        def reduce(tiles):
-            seen.extend((threading.get_ident(), lane, modes.start)
-                        for lane, _, modes, _ in tiles)
+        def add(lane, elems, modes, s):
+            seen.append((threading.get_ident(), lane, modes.start))
 
-        sr.nuft._sweep(mesh, grid.wavevectors, False, False, workers, reduce)
+        sr.nuft._sweep(mesh, grid.wavevectors, False, False, workers, add)
         assert sorted(start for *_, start in seen) == starts
         for lane in range(sr.nuft._LANES):
             mine = [(ident, start) for ident, tile_lane, start in seen if tile_lane == lane]

@@ -471,6 +471,25 @@ class TestPolygonHelpers:
         with pytest.raises(ValueError):
             sr.polygon_boundary_mesh(SQUARE[:2])
 
+    @pytest.mark.parametrize("path", [
+        lambda p: sr.polygon_signed_area(p),
+        lambda p: sr.polygon_boundary_mesh(p),
+        lambda p: sr.pipeline._ccw_loop(p),
+        lambda p: sr.loss_smooth(p),
+        lambda p: sr.polygon_subdivide(p, np.zeros(len(p))),
+    ], ids=["signed_area", "boundary_mesh", "ccw_loop", "loss_smooth", "subdivide"])
+    def test_each_path_checks_its_polygon_once(self, monkeypatch, path):
+        """The orientation comes from the array already checked, not from a
+        second check through ``polygon_signed_area``."""
+        calls = []
+        check = sr.pipeline._check_polygon
+        monkeypatch.setattr(sr.pipeline, "_check_polygon",
+                            lambda polygon: calls.append(polygon) or check(polygon))
+        for polygon in (SQUARE, SQUARE[::-1]):
+            calls.clear()
+            path(polygon)
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_signed_area_rejects_non_finite_vertex(self, bad):
         with pytest.raises(ValueError, match="finite"):
