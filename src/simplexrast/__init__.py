@@ -17,12 +17,6 @@ from .deform import (
     quat_apply,
     quat_pullback,
 )
-from .gradients import (
-    MeshGradient,
-    backward_auxnode,
-    backward_mesh,
-    numeric_backward,
-)
 from .meshcore import (
     MeshValidationError,
     SimplexMesh,
@@ -33,6 +27,9 @@ from .meshcore import (
     validate,
 )
 from .nuft import (
+    MeshGradient,
+    backward_auxnode,
+    backward_mesh,
     forward_auxnode,
     forward_mesh,
 )
@@ -51,6 +48,7 @@ from .pipeline import (
     RasterizeConfig,
     finite_difference_gradient,
     loss_smooth,
+    numeric_backward,
     polygon_boundary_mesh,
     polygon_signed_area,
     polygon_subdivide,

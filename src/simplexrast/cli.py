@@ -20,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .deform import PoseQuat, make_rig
-from .gradients import backward_mesh, numeric_backward
 from .meshcore import MeshValidationError, _check_int, _nonfinite_violations, load_mesh, save_mesh
+from .nuft import backward_mesh
 from .optimizer import FitDivergedError, FitProblem, Schedule, fit
 from .pipeline import (
     RasterizeConfig,
     finite_difference_gradient,
+    numeric_backward,
     polygon_subdivide,
     rasterize,
     rasterize_backward,
@@ -68,6 +69,9 @@ def _parse_int_list(text: str, option: str) -> list[int]:
 
 def cmd_rasterize(args) -> int:
     mesh = load_mesh(args.mesh)
+    if args.pgm and (mesh.dim, mesh.channels) != (2, 1):
+        raise ValueError(f"--pgm needs a 2D single-channel mesh, got {mesh.dim}D with "
+                         f"{mesh.channels} channel(s)")
     config = RasterizeConfig(resolution=args.res, filter_width=args.filter,
                              mode=args.mode, strict=args.strict)
     raster = rasterize(mesh, config)

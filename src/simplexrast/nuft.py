@@ -1,4 +1,4 @@
-"""Forward spectral transform of simplex meshes.
+"""Spectral transform of simplex meshes and its analytic backward.
 
 Evaluates exact Fourier coefficients of the piecewise-constant field
 carried by a mesh at every mode of a uniform frequency grid.  Per element
@@ -13,6 +13,15 @@ clusters plus the standard recurrence across them) takes over when phases
 collide; the backward has a closed form for one exact tie among wide gaps.
 Phase collisions are not exotic: every mesh hits one at the DC mode, and
 axis-aligned geometry hits them on whole mode rows.
+
+The backward is the adjoint of the same sweep.  A cotangent G encodes the
+real loss ``L(F) = sum_m w(m) Re[conj(G) F]`` with the grid's fold weights,
+and ``backward_*`` return the exact gradient of that L.  A coefficient's
+vertex derivative splits into a kernel part (the phase divided difference
+with that node repeated, times the weight, along the wavevector) and a
+weight part (``meshcore``'s weight gradient: Gram rows ``gamma * G^-1 E``
+for a simplex, cofactor rows of the offset matrix for an auxiliary
+simplex, times the kernel).
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ import functools
 import math
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +44,7 @@ from .meshcore import (
     _index_violations,
     _nonfinite_violations,
     _structure_violations,
+    _weight_gradients,
 )
 from .spectral import SpectralField, SpectralGrid
 
@@ -310,15 +322,15 @@ def _kernel(sv: np.ndarray, inv: np.ndarray, slots: bool):
 
 
 # ---------------------------------------------------------------------------
-# forward transform: one core for simplices and auxiliary simplices
+# one core for both passes, simplices and auxiliary simplices alike
 #
 # Auxnode rasterization applies the simplex transform to the auxiliary
 # simplices (origin, x_1..x_j) of a boundary: the origin adds a zero phase,
 # and the signed weight det(J) replaces j! * content.
 
 def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
-    """Entry checks of the shared core, then the node coordinates per element
-    and each element's kernel weight (``meshcore._element_weights``).
+    """Entry checks of the shared core, then the node coordinates per element,
+    each element's kernel weight (``meshcore._element_weights``) and i**j.
 
     Dimension and degree, index range and finiteness are checked on every
     call, strict or not: a degree above the dimension would rasterize to
@@ -338,7 +350,7 @@ def _checked_elements(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool):
     violations = _nonfinite_violations(pts, mesh.densities)
     if violations:
         raise MeshValidationError(violations)
-    return pts, _element_weights(pts, auxnode)
+    return pts, _element_weights(pts, auxnode), _I_POW[(pts.shape[1] - 1 + auxnode) % 4]
 
 
 def _tiles(n_elements: int, n_modes: int):
@@ -408,9 +420,9 @@ def _sweep(mesh: SimplexMesh, wavevectors, auxnode: bool, slots: bool, workers,
 
 
 def _forward(mesh: SimplexMesh, grid: SpectralGrid, auxnode: bool, workers) -> SpectralField:
-    pts, weights = _checked_elements(mesh, grid, auxnode)
+    _, weights, i_pow = _checked_elements(mesh, grid, auxnode)
     # i**j, the weight and the densities as one factor per (element, channel)
-    factor = _I_POW[(pts.shape[1] - 1 + auxnode) % 4] * weights[:, None] * mesh.densities
+    factor = i_pow * weights[:, None] * mesh.densities
     coeffs = np.zeros((grid.n_modes, mesh.channels), dtype=np.complex128)
 
     def add(lane, elems, modes, s):  # each mode tile writes only its own rows of coeffs
@@ -430,6 +442,69 @@ def forward_mesh(mesh: SimplexMesh, grid: SpectralGrid, workers=None) -> Spectra
 
 
 # ---------------------------------------------------------------------------
+# backward transform: the adjoint of the same sweep
+
+@dataclass
+class MeshGradient:
+    """Per-vertex spatial gradients and per-element density gradients."""
+
+    d_vertices: np.ndarray
+    d_densities: np.ndarray
+
+
+def _backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
+              auxnode: bool, workers) -> MeshGradient:
+    if not cotangent.grid.matches(grid):
+        raise ValueError("cotangent grid does not match the requested grid")
+    if cotangent.channels != mesh.channels:
+        raise ValueError(
+            f"cotangent has {cotangent.channels} channels, mesh has {mesh.channels}")
+    pts, weights, i_pow = _checked_elements(mesh, grid, auxnode)
+    dweights, degenerate = _weight_gradients(pts, weights, auxnode)
+    n_e, slots, d = pts.shape
+    wavevectors, dens = grid.wavevectors, mesh.densities
+    # i**j, the fold weights and the cotangent as one per-(mode, channel) factor
+    wcot = i_pow * grid.fold_weights[:, None] * np.conj(cotangent.coeffs)
+
+    # per-lane real sums over the modes, with ghat = dens wcot^T: the kernel
+    # part b_epd = sum Re[ghat coef_p] k_d (auxiliary origin slot dropped, it
+    # is fixed) and the density rows dd_ec = sum Re[S wcot_c]
+    b = np.zeros((_LANES, slots, n_e, d))
+    dd = np.zeros((_LANES, n_e, mesh.channels))
+
+    def add(lane, elems, modes, kernel):  # each lane is written by one thread only
+        s, coefs = kernel
+        ghat = dens[elems] @ wcot[modes].T
+        b[lane, :, elems] += (ghat * coefs[int(auxnode):]).real @ wavevectors[modes]
+        dd[lane, elems] += (s @ wcot[modes]).real
+
+    _sweep(mesh, wavevectors, auxnode, True, workers, add)
+    # in lane order; a lane without tiles adds exact zeros
+    b, dd = (sum(lanes[1:], lanes[0]) for lanes in (b, dd))
+    # the weight part: a_e = sum Re[ghat S] = sum_c rho_ec dd_ec, as rho is real
+    a = np.einsum("ec,ec->e", dens, dd)
+    slot_grad = a[:, None, None] * dweights + weights[:, None, None] * b.transpose(1, 0, 2)
+    slot_grad[degenerate] = 0.0
+    d_vertices = np.zeros((mesh.n_vertices, d))
+    np.add.at(d_vertices, mesh.elements.reshape(-1), slot_grad.reshape(-1, d))
+    if degenerate.any():
+        warnings.warn(f"{int(degenerate.sum())} degenerate elements received zero "
+                      "vertex gradient", RuntimeWarning, stacklevel=3)
+    return MeshGradient(d_vertices, weights[:, None] * dd)
+
+
+def backward_mesh(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
+                  workers=None) -> MeshGradient:
+    """Gradient of ``L(F) = sum_m w(m) Re[conj(G) F]`` in vertices and densities.
+
+    Vertices shared by several elements accumulate; vertices unused by any
+    element stay exactly zero.  Elements at or below the degeneracy
+    threshold contribute zero vertex gradient, with a warning.
+    """
+    return _backward(mesh, grid, cotangent, False, workers)
+
+
+# ---------------------------------------------------------------------------
 # auxiliary-node transform of a watertight boundary
 
 def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
@@ -444,3 +519,15 @@ def forward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
     negates the field.
     """
     return _forward(boundary_mesh, grid, True, workers)
+
+
+def backward_auxnode(boundary_mesh: SimplexMesh, grid: SpectralGrid,
+                     cotangent: SpectralField, workers=None) -> MeshGradient:
+    """Backward pass through the auxiliary-node transform.
+
+    Each auxiliary simplex keeps the origin node fixed (it receives no
+    gradient); the signed distortion differentiates through the cofactor
+    rows of the offset matrix, so no division by the (possibly ~zero)
+    signed content occurs.
+    """
+    return _backward(boundary_mesh, grid, cotangent, True, workers)

@@ -187,7 +187,7 @@ def make_objective(problem: FitProblem):
     config's one resolution otherwise.  A call rasterizes every resolution
     from one forward sweep at the largest and takes the gradient of all of
     them from one backward sweep there (``pipeline._rasters``).  A target
-    whose channel count is not the mesh's is a ValueError.
+    whose dim or channel count is not the mesh's is a ValueError.
 
     A ``need_grad=False`` call on a finite state keeps its raster
     differences for the next call only.  If that call asks for the gradient
@@ -199,17 +199,20 @@ def make_objective(problem: FitProblem):
         config, resolutions = replace(config, mode="auxnode"), problem.mres_resolutions
         target = (_ccw_loop(target.vertices, target.elements) if isinstance(target, SimplexMesh)
                   else _ccw_loop(target))
+    if not isinstance(target, (Raster, SimplexMesh)):
+        raise TypeError("target must be a Raster or a SimplexMesh")
+    if target.dim != problem.mesh.dim:
+        raise ValueError(f"target {type(target).__name__} has dim {target.dim}, "
+                         f"mesh has dim {problem.mesh.dim}")
+    if target.channels != problem.mesh.channels:
+        raise ValueError(f"target {type(target).__name__} has {target.channels} channel(s), "
+                         f"mesh has {problem.mesh.channels}")
     if isinstance(target, Raster):
         if target.resolution != config.resolution:
             raise ValueError("target raster resolution does not match config")
         targets = [target]
-    elif isinstance(target, SimplexMesh):
-        targets = _rasters(target, config, resolutions)
     else:
-        raise TypeError("target must be a Raster or a SimplexMesh")
-    if target.channels != problem.mesh.channels:
-        raise ValueError(f"target {type(target).__name__} has {target.channels} channel(s), "
-                         f"mesh has {problem.mesh.channels}")
+        targets = _rasters(target, config, resolutions)
     smooth = problem.loss == "mres_smooth" and problem.smooth_weight > 0
     probe = None  # (state key, raster differences) of the last finite need_grad=False call
 

@@ -4,9 +4,10 @@ Forward: mesh -> spectral transform -> Gaussian filter -> inverse
 transform.  Backward: raster cotangent -> adjoint transform -> filter
 (self-adjoint) -> mesh gradients.  Each direction has one builder, which
 serves a list of resolutions from one sweep at the largest (``_rasters``,
-``_rasters_backward``).  Polygons are closed 2D vertex loops rasterized
-through their boundary via the auxiliary-node transform, which also works
-for non-convex shapes.
+``_rasters_backward``).  Central differences are the reference for both
+the raster and the spectral backward.  Polygons are closed 2D vertex
+loops rasterized through their boundary via the auxiliary-node transform,
+which also works for non-convex shapes.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gradients import MeshGradient, _central_differences, backward_auxnode, backward_mesh
 from .meshcore import (MeshValidationError, SimplexMesh, _check_int, boundary_closure_defect,
                        validate)
-from .nuft import forward_auxnode, forward_mesh
+from .nuft import MeshGradient, backward_auxnode, backward_mesh, forward_auxnode, forward_mesh
 from .spectral import (
     Raster,
     SpectralField,
@@ -30,6 +30,7 @@ from .spectral import (
     build_grid,
     gaussian_filter,
     inverse_transform,
+    spectral_inner,
 )
 
 MODES = ("simplex", "auxnode")
@@ -93,6 +94,51 @@ def finite_difference_gradient(mesh: SimplexMesh, config: RasterizeConfig,
     grid, cot = _fine_cotangent(mesh, config, (config.resolution,), [raster_cotangent])
     forward = forward_mesh if config.mode == "simplex" else forward_auxnode
     return _central_differences(mesh, forward, grid, cot, h, local=True)
+
+
+def numeric_backward(mesh: SimplexMesh, grid: SpectralGrid, cotangent: SpectralField,
+                     h: float = 1e-6) -> MeshGradient:
+    """Central-difference gradient of the simplex transform by re-running it.
+
+    Every probe transforms the whole mesh: Theta((j+1) n_e^2 m) against
+    the analytic pass's Theta((j+1) n_e m).
+    """
+    return _central_differences(mesh, forward_mesh, grid, cotangent, h, local=False)
+
+
+def _central_differences(mesh: SimplexMesh, forward, grid: SpectralGrid,
+                         cotangent: SpectralField, h: float, local: bool) -> MeshGradient:
+    """Central differences of ``spectral_inner(forward(mesh, grid), cotangent)``.
+
+    Perturbs every vertex coordinate and density by +-h.  ``local``
+    re-transforms per probe only the elements that the perturbed value
+    touches (the others cancel exactly in the difference); otherwise every
+    probe transforms the whole mesh.  Unused vertices get a zero gradient.
+    """
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h!r}")
+
+    def loss(vertices, densities, rows):
+        rows = rows if local else slice(None)
+        probe = SimplexMesh(mesh.dim, mesh.degree, vertices, mesh.elements[rows], densities[rows])
+        return spectral_inner(forward(probe, grid), cotangent)
+
+    grad = MeshGradient(np.zeros_like(mesh.vertices), np.zeros_like(mesh.densities))
+    probes = []
+    for v in range(mesh.n_vertices):
+        rows = np.nonzero((mesh.elements == v).any(axis=1))[0]
+        if rows.size:
+            probes += [("vertices", (v, ax), rows) for ax in range(mesh.dim)]
+    probes += [("densities", (e, ch), [e])
+               for e in range(mesh.n_elements) for ch in range(mesh.channels)]
+    for name, idx, rows in probes:
+        values = []
+        for step in (h, -h):
+            args = {"vertices": mesh.vertices.copy(), "densities": mesh.densities.copy()}
+            args[name][idx] += step
+            values.append(loss(rows=rows, **args))
+        getattr(grad, "d_" + name)[idx] = (values[0] - values[1]) / (2.0 * h)
+    return grad
 
 
 # ---------------------------------------------------------------------------

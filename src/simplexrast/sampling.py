@@ -13,6 +13,8 @@ from .meshcore import SimplexMesh, _batch_content
 
 #: elements with content at or below this are redrawn
 REJECT_CONTENT = 1e-3
+#: consecutive rejected draws after which ``random_mesh`` gives up
+REJECT_RUN = 10_000
 
 
 def random_mesh(degree: int, dim: int, n_points: int, rng: np.random.Generator,
@@ -23,16 +25,18 @@ def random_mesh(degree: int, dim: int, n_points: int, rng: np.random.Generator,
         raise ValueError("need at least degree+1 points")
     vertices = rng.uniform(0.1, 0.9, size=(n_points, dim))
     n_e = n_points if n_elements is None else n_elements
-    rows = []
+    rows, rejected = [], 0
     while len(rows) < n_e:
         cand = rng.integers(0, n_points, size=degree + 1)
-        if degree >= 1 and len(set(cand.tolist())) != degree + 1:
+        if degree >= 1 and (len(set(cand.tolist())) != degree + 1
+                            or _batch_content(vertices[cand][None])[0] <= REJECT_CONTENT):
+            rejected += 1
+            if rejected == REJECT_RUN:
+                raise ValueError(f"no degree-{degree} element of the {n_points} drawn points "
+                                 f"has content above {REJECT_CONTENT} in {REJECT_RUN} draws")
             continue
-        if degree >= 1:
-            c = float(_batch_content(vertices[cand][None])[0])
-            if c <= REJECT_CONTENT:
-                continue
         rows.append(cand)
+        rejected = 0
     densities = rng.uniform(0.5, 1.5, size=(n_e, channels))
     return SimplexMesh(dim, degree, vertices, np.asarray(rows), densities)
 

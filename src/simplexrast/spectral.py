@@ -197,6 +197,8 @@ def spectral_inner(f: SpectralField, g: SpectralField) -> float:
     """Fold-weighted real pairing sum_m w(m) Re[conj(g) f], summed over channels."""
     if not f.grid.matches(g.grid):
         raise ValueError("fields live on different grids")
+    if f.channels != g.channels:
+        raise ValueError(f"fields have {f.channels} and {g.channels} channels")
     w = f.grid.fold_weights
     return float(np.einsum("m,mc->", w, (np.conj(g.coeffs) * f.coeffs).real))
 

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from simplexrast.gradients import _central_differences
 from simplexrast.meshcore import DEGENERACY_EPS, SimplexMesh, _batch_content, content
 from simplexrast.nuft import (
     _DS_AMP_MAX,
@@ -25,7 +24,7 @@ from simplexrast.nuft import (
     _kernel,
     forward_auxnode,
 )
-from simplexrast.pipeline import _ccw_corners, _check_polygon, rasterize
+from simplexrast.pipeline import _ccw_corners, _central_differences, _check_polygon, rasterize
 from simplexrast.spectral import Raster, SpectralField
 
 

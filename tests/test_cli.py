@@ -66,6 +66,17 @@ class TestRasterizeCommand:
         assert code == 0
         assert pgm.read_bytes().startswith(b"P5 16 16 255\n")
 
+    @pytest.mark.parametrize("payload", [TET, dict(UNIT_TRIANGLE, densities=[[1.0, 2.0]])])
+    def test_pgm_checked_before_any_work(self, payload, tmp_path, capsys, monkeypatch):
+        """A 3D or multi-channel mesh with --pgm fails (exit 1) before it is
+        rasterized, and no output file is written."""
+        mesh = write_json(tmp_path / "m.json", payload)
+        monkeypatch.setattr(cli, "rasterize", None)
+        assert main(["rasterize", "--mesh", mesh, "--res", "8", "--out", str(tmp_path / "r.raw"),
+                     "--pgm", str(tmp_path / "r.pgm")]) == 1
+        assert "--pgm needs a 2D single-channel mesh" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -226,6 +237,13 @@ class TestGradcheckCommand:
         assert f"error: {option} must be" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_no_admissible_tetrahedron_exit_1(self, capsys):
+        """4 points whose only tetrahedron is too thin end in an input error
+        (exit 1), not in an endless redraw."""
+        assert main(["gradcheck", "--j", "3", "--d", "3", "--points", "4", "--res", "4",
+                     "--seed", "11"]) == 1
+        assert "error: no degree-3 element" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, capsys):
         main(["gradcheck", "--j", "1", "--d", "2", "--points", "6", "--res", "4",
               "--seed", "5"])
@@ -336,6 +354,13 @@ class TestFitCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "non-finite vertex coordinates" in capsys.readouterr().err
+
+    def test_target_of_another_dim_exit_1(self, tmp_path, capsys):
+        """A 3D target mesh for a 2D fit is an input error naming both dims."""
+        path = self.make_problem(tmp_path, (0.05, 0.0))
+        write_json(tmp_path / "target.json", TET)
+        assert main(["fit", "--problem", path, "--out", str(tmp_path / "run")]) == 1
+        assert "target SimplexMesh has dim 3, mesh has dim 2" in capsys.readouterr().err
 
     def test_missing_target_exit_1(self, tmp_path):
         problem = {"variable": "vertices", "loss": "l2",

@@ -233,12 +233,15 @@ class TestBackwardMesh:
             sr.rasterize_backward(mesh, sr.RasterizeConfig(4, strict=True), np.ones((4, 4)))
 
     def test_grid_and_channel_mismatch(self, rng):
+        """The analytic backward and its finite-difference reference both
+        refuse a cotangent on another grid or with another channel count."""
         mesh = sr.random_mesh(2, 2, 6, rng)
         grid = sr.build_grid(2, 4)
-        with pytest.raises(ValueError):
-            sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(sr.build_grid(2, 8), rng))
-        with pytest.raises(ValueError):
-            sr.backward_mesh(mesh, grid, oracles.random_spectral_cotangent(grid, rng, channels=2))
+        for backward in (sr.backward_mesh, sr.numeric_backward):
+            with pytest.raises(ValueError):
+                backward(mesh, grid, oracles.random_spectral_cotangent(sr.build_grid(2, 8), rng))
+            with pytest.raises(ValueError, match="channels"):
+                backward(mesh, grid, oracles.random_spectral_cotangent(grid, rng, channels=2))
 
     def test_workers_bit_identical(self, rng, monkeypatch):
         """Backward sums per fixed lane of mode tiles and adds the lanes in

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -252,3 +253,22 @@ def test_element_contents_batch_matches_scalar():
     batch = _batch_content(pts)
     singles = [sr.content(pts[i]) for i in range(mesh.n_elements)]
     assert np.allclose(batch, singles, rtol=1e-12)
+
+
+class TestRandomMesh:
+    @pytest.mark.parametrize("seed, degree, dim, n_points", [(11, 3, 3, 4), (67, 2, 2, 3)])
+    def test_no_admissible_element_raises(self, seed, degree, dim, n_points):
+        """Points whose every element is at or below ``REJECT_CONTENT`` stop
+        the draw after ``REJECT_RUN`` rejections in a row, with an error
+        naming the degree, the points and the threshold."""
+        message = (rf"no degree-{degree} element of the {n_points} drawn points has "
+                   rf"content above 0\.001")
+        with pytest.raises(ValueError, match=message):
+            sr.random_mesh(degree, dim, n_points, np.random.default_rng(seed))
+
+    def test_draw_sequence_kept(self):
+        """A mesh that can be drawn is the one drawn before the cap existed."""
+        mesh = sr.random_mesh(3, 3, 4, np.random.default_rng(12))
+        assert mesh.elements.tolist() == [[1, 2, 0, 3], [2, 3, 1, 0], [2, 1, 0, 3], [0, 2, 1, 3]]
+        digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.densities.tobytes())
+        assert digest.hexdigest()[:12] == "22383597bb61"

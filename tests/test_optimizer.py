@@ -167,6 +167,25 @@ class TestFit:
             with pytest.raises(ValueError, match=re.escape(message)):
                 call(problem)
 
+    @pytest.mark.parametrize("kind", ["Raster", "SimplexMesh"])
+    def test_target_dim_mismatch(self, kind):
+        """A target of another dimension than the mesh is rejected where the
+        objective is built, naming both dims, not broadcast against it."""
+        if kind == "Raster":
+            mesh, cfg = sr.polygon_boundary_mesh(SQUARE), sr.RasterizeConfig(16, mode="auxnode")
+            target, dims = sr.Raster(1, 16, np.ones(16)), (1, 2)
+        else:
+            tet = [[0.2, 0.2, 0.2], [0.7, 0.2, 0.2], [0.2, 0.7, 0.2], [0.2, 0.2, 0.7]]
+            mesh, cfg = sr.SimplexMesh(3, 3, tet, [[0, 1, 2, 3]], [1.0]), sr.RasterizeConfig(8)
+            target = sr.SimplexMesh(2, 2, SQUARE[:3], [[0, 1, 2]], [1.0])
+            dims = (2, 3)
+        problem = sr.FitProblem(mesh=mesh, target=target, config=cfg,
+                                schedule=sr.Schedule(step=1e-3, max_iters=2))
+        message = f"target {kind} has dim {dims[0]}, mesh has dim {dims[1]}"
+        for call in (sr.make_objective, sr.fit):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(problem)
+
     def test_rig_variable_descends(self):
         result = sr.fit(rig_problem(max_iters=40))
         assert result.trajectory[-1].loss < 0.5 * result.trajectory[0].loss

@@ -211,6 +211,18 @@ class TestAdjoint:
         assert energy == pytest.approx(spectral, rel=1e-9)
 
 
+class TestSpectralInner:
+    @pytest.mark.parametrize("channels", [(3, 1), (2, 3)])
+    def test_unequal_channel_counts_rejected(self, channels):
+        """Fields of different channel counts are not broadcast against each
+        other: the error names both counts."""
+        grid = sr.build_grid(2, 8)
+        f, g = (sr.SpectralField(grid, np.ones((grid.n_modes, c), dtype=complex))
+                for c in channels)
+        with pytest.raises(ValueError, match=f"fields have {channels[0]} and {channels[1]} "):
+            sr.spectral_inner(f, g)
+
+
 class TestRasterIO:
     def test_roundtrip(self, tmp_path, rng):
         raster = sr.Raster(2, 8, rng.random((8, 8, 2)))
